@@ -21,7 +21,7 @@ from .corpus import Corpus, instance_to_record
 from .errors import ValidationError
 from .pipeline import ExtractionResult, PipelineConfig, run_pipeline, select_topk
 from .rouge import RougeScore, rank_descending, rouge_l, rouge_n
-from .scorer import InstanceStats, ScoringModel, forward
+from .scorer import ScoringModel, forward
 from .trainer import (
     PreparedInstance,
     TrainConfig,
@@ -247,10 +247,6 @@ def corpus_digest(corpora: dict[str, Corpus]) -> str:
     return h.hexdigest()[:16]
 
 
-def _score_all(model: ScoringModel, prep: PreparedInstance) -> np.ndarray:
-    return np.array([forward(model, x)[0] for x in prep.features])
-
-
 def _aggregate_row(objective: str, per_instance, k: int) -> ComparisonRow:
     """per_instance holds (extraction, predicted_order, relevance, summary)."""
     r5 = np.zeros(3)
@@ -363,22 +359,21 @@ def run_comparison(
         instance = prep.instance
         relevance = prep.relevance
         summary = instance.gold_summary
-        stats = InstanceStats.from_instance(instance)
         n = len(instance.utterances)
 
         for objective in trainable:
             model = models[objective]
-            scores = _score_all(model, prep)
+            scores = forward(model, prep.features)[0]
             order = rank_descending(scores.tolist())
             if objective == "pairwise+listwise":
                 extraction = run_pipeline(
                     instance, models["pairwise"], model,
-                    replace(pipeline_config, rerank_enabled=True), stats,
+                    replace(pipeline_config, rerank_enabled=True), features=prep.features,
                 )
             elif objective == "pairwise":
                 extraction = run_pipeline(
                     instance, model, None,
-                    replace(pipeline_config, rerank_enabled=False), stats,
+                    replace(pipeline_config, rerank_enabled=False), features=prep.features,
                 )
             else:
                 extraction = select_topk(

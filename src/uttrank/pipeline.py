@@ -14,11 +14,13 @@ Per-instance runs are independent and may execute in parallel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .corpus import QueryInstance, RankSample, partition_samples
 from .errors import ValidationError
-from .scorer import InstanceStats, ScoringModel, score_utterances
+from .scorer import ScoringModel, instance_features, score_utterances
 
 __all__ = [
     "PipelineConfig",
@@ -219,24 +221,28 @@ def run_pipeline(
     ranker: ScoringModel,
     reranker: ScoringModel | None,
     config: PipelineConfig,
-    stats: InstanceStats | None = None,
+    features: np.ndarray | None = None,
 ) -> ExtractionResult:
-    """Full extraction for one instance; deterministic given models and config."""
+    """Full extraction for one instance; deterministic given models and config.
+
+    features is the instance's feature matrix, computed here when not given;
+    both models score the same matrix.
+    """
     if config.rerank_enabled and reranker is None:
         raise ValidationError("rerank_enabled requires a re-ranker model")
-    if stats is None:
-        stats = InstanceStats.from_instance(instance)
+    if features is None:
+        features = instance_features(instance)
 
     n = len(instance.utterances)
     samples = partition_samples(instance, config.sample_size, [0.0] * n)
-    ranker_scores = score_utterances(ranker, instance, stats)
+    ranker_scores = score_utterances(ranker, instance, features=features)
     stage1_orders = tuple(stage1_rank(s, ranker_scores) for s in samples)
     pool = pool_candidates(
         [(order, ranker_scores) for order in stage1_orders], config.per_sample_top
     )
 
     if config.rerank_enabled:
-        rerank_scores = score_utterances(reranker, instance, stats)
+        rerank_scores = score_utterances(reranker, instance, features=features)
         global_order = stage2_rerank(pool, rerank_scores)
         selection_scores = rerank_scores
     else:
@@ -246,13 +252,4 @@ def run_pipeline(
     result = select_topk(
         global_order, selection_scores, instance, config.top_k, config.token_budget
     )
-    return ExtractionResult(
-        instance_id=result.instance_id,
-        selected_indices=result.selected_indices,
-        selection_scores=result.selection_scores,
-        selected_texts=result.selected_texts,
-        generator_input=result.generator_input,
-        stage1_orders=stage1_orders,
-        global_order=result.global_order,
-        truncated=result.truncated,
-    )
+    return replace(result, stage1_orders=stage1_orders)

@@ -154,18 +154,21 @@ def kl_listwise_loss(pred_scores, gold_scores, k: int) -> LossResult:
     # with positions along pi, e stabilized by max-subtraction (the shift
     # cancels exactly in each factor, so treating it as constant is exact).
     shifted = pred - pred.max()
-    e = np.exp(shifted)[pi]
-    tails = np.cumsum(e[::-1])[::-1]
+    e_by_item = np.exp(shifted)
+    tails = np.cumsum(e_by_item[pi][::-1])[::-1]
     inv_tail_cum = np.cumsum(1.0 / tails)  # inv_tail_cum[p] = sum_{m=0..p} 1/T_m
 
     pos = np.empty(n, dtype=np.int64)
     pos[pi] = np.arange(n)
-    grad = np.zeros(n)
-    e_by_item = np.exp(shifted)
-    for j in range(1, k + 1):
-        indicator = (pos <= j - 1).astype(np.float64)
-        coupling = e_by_item * inv_tail_cum[np.minimum(j - 1, pos)]
-        grad += -p_gold[j - 1] * (indicator - coupling)
+    # grad_i = -sum_{j=1..k} p_gold[j-1] * (indicator - coupling), summed over
+    # j in closed form. For the item at position p the indicator terms give
+    # suffix[p] = sum_{p<=m<k} p_gold[m]; the coupling terms give
+    # e_i * (sum_{m<min(p,k)} p_gold[m] * C[m] + C[p] * suffix[p]), C = inv_tail_cum.
+    suffix = np.zeros(n)
+    suffix[:k] = np.cumsum(p_gold[::-1])[::-1]
+    weighted_prefix = np.concatenate(([0.0], np.cumsum(p_gold * inv_tail_cum[:k])))
+    coupling = weighted_prefix[np.minimum(pos, k)] + inv_tail_cum[pos] * suffix[pos]
+    grad = e_by_item * coupling - suffix[pos]
     return LossResult(value=value, grad=grad)
 
 

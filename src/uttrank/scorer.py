@@ -6,9 +6,14 @@ scorer, so every trainable objective stays exercisable at desk scale. Hidden
 layers use tanh (smooth everywhere, so finite-difference gradient checks are
 clean); the output layer is linear and always one-dimensional.
 
-forward/featurize are read-only and safe to call concurrently; parameter
-updates are single-writer and bump the model version so stale activation
-traces are rejected.
+forward scores a whole (n, input_dim) feature matrix with one matrix product
+per layer and returns the per-layer activations; backward takes those
+activations and the vector of upstream score gradients and returns one
+parameter gradient summed over the rows. Call backward with the model that
+ran the forward pass, before any update is applied to it.
+
+forward and featurize are read-only and safe to call concurrently; parameter
+updates are single-writer.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -57,7 +62,6 @@ __all__ = [
     "featurize",
     "instance_features",
     "ScoringModel",
-    "ActivationTrace",
     "ParameterGradient",
     "init_model",
     "forward",
@@ -160,19 +164,10 @@ class ScoringModel:
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     seed: int
-    version: int = 0  # bumped on every parameter update
 
     @property
     def input_dim(self) -> int:
         return self.layer_dims[0]
-
-
-@dataclass(frozen=True)
-class ActivationTrace:
-    """Per-layer activations retained by forward for the backward pass."""
-
-    activations: tuple[np.ndarray, ...]  # activations[0] is the input
-    model_version: int
 
 
 @dataclass
@@ -182,27 +177,18 @@ class ParameterGradient:
     weights: list[np.ndarray]
     biases: list[np.ndarray]
 
-    @staticmethod
-    def zeros_like(model: ScoringModel) -> "ParameterGradient":
-        return ParameterGradient(
-            weights=[np.zeros_like(w) for w in model.weights],
-            biases=[np.zeros_like(b) for b in model.biases],
-        )
 
-    def add_(self, other: "ParameterGradient") -> None:
-        for w, ow in zip(self.weights, other.weights):
-            w += ow
-        for b, ob in zip(self.biases, other.biases):
-            b += ob
+def _check_dims(dims: tuple[int, ...]) -> None:
+    if not dims or any(d < 1 for d in dims):
+        raise ValidationError(f"layer dims must be positive, got {dims}")
+    if dims[-1] != 1:
+        raise ValidationError(f"output dimension must be 1, got {dims[-1]}")
 
 
 def init_model(layer_dims, seed: int) -> ScoringModel:
     """Glorot-uniform weights, zero biases, reproducible from the seed."""
     dims = tuple(int(d) for d in layer_dims)
-    if not dims or any(d < 1 for d in dims):
-        raise ValidationError(f"layer dims must be positive, got {dims}")
-    if dims[-1] != 1:
-        raise ValidationError(f"output dimension must be 1, got {dims[-1]}")
+    _check_dims(dims)
     rng = np.random.default_rng(seed)
     weights, biases = [], []
     for fan_in, fan_out in zip(dims, dims[1:]):
@@ -212,50 +198,47 @@ def init_model(layer_dims, seed: int) -> ScoringModel:
     return ScoringModel(layer_dims=dims, weights=weights, biases=biases, seed=int(seed))
 
 
-def forward(model: ScoringModel, x: np.ndarray) -> tuple[float, ActivationTrace]:
-    """Score one feature vector; the trace feeds backward()."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.input_dim,):
-        raise ValidationError(f"input shape {x.shape} != ({model.input_dim},)")
+def forward(model: ScoringModel, features: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Score every row of an (n, input_dim) matrix.
+
+    Returns the n scores and the per-layer activations backward() consumes,
+    starting with the input itself.
+    """
+    x = np.asarray(features, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != model.input_dim:
+        raise ValidationError(f"input shape {x.shape} != (n, {model.input_dim})")
     activations = [x]
-    a = x
     n_layers = len(model.weights)
-    for l in range(n_layers):
-        z = model.weights[l] @ a + model.biases[l]
-        a = np.tanh(z) if l < n_layers - 1 else z
-        activations.append(a)
-    score = float(activations[-1][0]) if n_layers else float(x[0])
-    return score, ActivationTrace(activations=tuple(activations), model_version=model.version)
+    for l, (w, b) in enumerate(zip(model.weights, model.biases)):
+        z = activations[-1] @ w.T + b
+        activations.append(np.tanh(z) if l < n_layers - 1 else z)
+    return activations[-1][:, 0], activations
 
 
-def backward(model: ScoringModel, trace: ActivationTrace, upstream: float) -> ParameterGradient:
-    """Exact gradient of (upstream * score) with respect to the parameters."""
-    if trace.model_version != model.version:
-        raise ValidationError("stale activation trace: model parameters changed since forward")
-    grad = ParameterGradient.zeros_like(model)
-    n_layers = len(model.weights)
-    if n_layers == 0:
-        return grad
-    g = np.array([float(upstream)])
-    for l in reversed(range(n_layers)):
-        grad.weights[l] = np.outer(g, trace.activations[l])
-        grad.biases[l] = g
+def backward(
+    model: ScoringModel, activations: list[np.ndarray], upstream: np.ndarray
+) -> ParameterGradient:
+    """Exact gradient of sum_i upstream[i] * score_i with respect to the parameters."""
+    g = np.asarray(upstream, dtype=np.float64).reshape(-1, 1)
+    weights, biases = [], []
+    for l in reversed(range(len(model.weights))):
+        weights.append(g.T @ activations[l])
+        biases.append(g.sum(axis=0))
         if l > 0:
             # activations[l] = tanh(z_{l-1}) for hidden layers
-            g = (model.weights[l].T @ g) * (1.0 - trace.activations[l] ** 2)
-    return grad
+            g = (g @ model.weights[l]) * (1.0 - activations[l] ** 2)
+    return ParameterGradient(weights=weights[::-1], biases=biases[::-1])
 
 
 def score_utterances(
     model: ScoringModel,
     instance: QueryInstance,
-    stats: InstanceStats | None = None,
     features: np.ndarray | None = None,
 ) -> np.ndarray:
     """Model score per utterance, aligned with transcript indices."""
     if features is None:
-        features = instance_features(instance, stats)
-    return np.array([forward(model, x)[0] for x in features])
+        features = instance_features(instance)
+    return forward(model, features)[0]
 
 
 def num_params(model: ScoringModel) -> int:
@@ -280,7 +263,6 @@ def set_flat_params(model: ScoringModel, vector: np.ndarray) -> None:
         pos += w.size
         model.biases[l] = vector[pos : pos + b.size].copy()
         pos += b.size
-    model.version += 1
 
 
 def flat_gradient(grad: ParameterGradient) -> np.ndarray:
@@ -292,11 +274,10 @@ def flat_gradient(grad: ParameterGradient) -> np.ndarray:
 
 
 def apply_gradient(model: ScoringModel, grad: ParameterGradient, learning_rate: float) -> None:
-    """Plain gradient-descent step; invalidates outstanding traces."""
+    """Plain gradient-descent step."""
     for l in range(len(model.weights)):
         model.weights[l] = model.weights[l] - learning_rate * grad.weights[l]
         model.biases[l] = model.biases[l] - learning_rate * grad.biases[l]
-    model.version += 1
 
 
 def save_model(model: ScoringModel, path: str | Path) -> None:
@@ -315,14 +296,42 @@ def save_model(model: ScoringModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> ScoringModel:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    """Read a checkpoint, rejecting any this feature schema cannot score with."""
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(payload, dict):
+            raise ValidationError(f"{path}: checkpoint must hold a JSON object")
+        return _model_from_payload(payload, path)
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"{path}: unreadable checkpoint: {exc!r}") from exc
+
+
+def _model_from_payload(payload: dict, path: str | Path) -> ScoringModel:
     schema = payload.get("feature_schema_version")
     if schema != FEATURE_SCHEMA_VERSION:
         raise ValidationError(f"unsupported feature schema version: {schema}")
+    names = payload.get("feature_names")
+    if names != list(FEATURE_NAMES):
+        raise ValidationError(f"{path}: feature names {names} != {list(FEATURE_NAMES)}")
     dims = tuple(int(d) for d in payload["layer_dims"])
+    _check_dims(dims)
+    if dims[0] != FEATURE_DIM:
+        raise ValidationError(f"{path}: input dimension {dims[0]} != {FEATURE_DIM} features")
+    n_layers = len(dims) - 1
+    if len(payload["weights"]) != n_layers or len(payload["biases"]) != n_layers:
+        raise ValidationError(f"{path}: layer dims {dims} need {n_layers} weight and bias lists")
     weights = []
     biases = []
     for l, (fan_in, fan_out) in enumerate(zip(dims, dims[1:])):
-        weights.append(np.array(payload["weights"][l], dtype=np.float64).reshape(fan_out, fan_in))
-        biases.append(np.array(payload["biases"][l], dtype=np.float64))
+        w = np.array(payload["weights"][l], dtype=np.float64)
+        b = np.array(payload["biases"][l], dtype=np.float64)
+        if w.shape != (fan_out * fan_in,) or b.shape != (fan_out,):
+            raise ValidationError(
+                f"{path}: layer {l} holds {w.size} weights and {b.size} biases, "
+                f"expected {fan_out * fan_in} and {fan_out}"
+            )
+        if not (np.isfinite(w).all() and np.isfinite(b).all()):
+            raise ValidationError(f"{path}: layer {l} holds a non-finite parameter")
+        weights.append(w.reshape(fan_out, fan_in))
+        biases.append(b)
     return ScoringModel(layer_dims=dims, weights=weights, biases=biases, seed=int(payload["seed"]))

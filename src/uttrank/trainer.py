@@ -147,23 +147,15 @@ class LossAssembly:
     loss_fn: Callable[[np.ndarray], LossResult]
 
     def scores(self, model: ScoringModel) -> np.ndarray:
-        return np.array([forward(model, x)[0] for x in self.feature_rows])
+        return forward(model, self.feature_rows)[0]
 
     def value(self, model: ScoringModel) -> float:
         return self.loss_fn(self.scores(model)).value
 
     def value_and_grad(self, model: ScoringModel) -> tuple[float, ParameterGradient]:
-        scores, traces = [], []
-        for x in self.feature_rows:
-            s, t = forward(model, x)
-            scores.append(s)
-            traces.append(t)
-        result = self.loss_fn(np.array(scores))
-        pgrad = ParameterGradient.zeros_like(model)
-        for g, trace in zip(result.grad, traces):
-            if g != 0.0:
-                pgrad.add_(backward(model, trace, float(g)))
-        return result.value, pgrad
+        scores, activations = forward(model, self.feature_rows)
+        result = self.loss_fn(scores)
+        return result.value, backward(model, activations, result.grad)
 
 
 def make_objective_assembly(
@@ -306,7 +298,7 @@ def train_reranker(
             logger.warning("skipping instance %s: fewer than 2 utterances", prep.instance.instance_id)
             continue
         samples = partition_samples(prep.instance, pipeline_config.sample_size, prep.relevance)
-        scores = np.array([forward(stage1_model, x)[0] for x in prep.features])
+        scores = forward(stage1_model, prep.features)[0]
         ranked = [(stage1_rank(s, scores), scores) for s in samples]
         pool = pool_candidates(ranked, pipeline_config.per_sample_top)
         pool_idx = [c.index for c in pool]

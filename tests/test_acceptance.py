@@ -99,7 +99,7 @@ def _smooth_pairwise_point(rng):
         targets = rng.uniform(size=n)
         model = init_model((FEATURE_DIM, 16, 1), seed=int(rng.integers(2**31)))
         assembly = make_objective_assembly("pairwise", features, targets, base_margin=0.01)
-        scores = np.array([forward(model, row)[0] for row in assembly.feature_rows])
+        scores = forward(model, assembly.feature_rows)[0]
         gaps = [
             scores[j] - scores[i] + (j - i) * 0.01
             for i in range(n)

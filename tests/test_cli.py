@@ -162,6 +162,28 @@ def test_extract_outputs_and_determinism(trained):
     assert all(r["generator_input"] for r in records)
 
 
+def test_extract_rejects_non_finite_checkpoint(trained, capsys):
+    tmp, corpus, model_dir = trained
+    payload = json.loads((model_dir / "model.json").read_text())
+    payload["weights"][0][0] = float("nan")
+    bad = tmp / "nan-model.json"
+    bad.write_text(json.dumps(payload))
+    out = tmp / "nan-extract"
+    code = dispatch(
+        [
+            "extract",
+            "--corpus", str(corpus / "test.jsonl"),
+            "--model", str(bad),
+            "--out-dir", str(out),
+            "--sample-size", "10",
+            "--per-sample-top", "3",
+        ]
+    )
+    assert code == 1
+    assert "non-finite" in capsys.readouterr().err
+    assert not (out / "extractions.jsonl").exists()
+
+
 def test_reranker_training_flow(trained):
     tmp, corpus, model_dir = trained
     out = tmp / "reranker"

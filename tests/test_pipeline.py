@@ -285,7 +285,6 @@ def test_pipeline_invariant_under_increasing_score_transform():
     for model in (ranker, reranker):
         model.weights[-1] *= 2.5
         model.biases[-1] = model.biases[-1] * 2.5 + 0.7
-        model.version += 1
     transformed = run_pipeline(inst, ranker, reranker, config)
     assert transformed.selected_indices == base.selected_indices
     assert transformed.global_order == base.global_order

@@ -249,6 +249,39 @@ def test_kl_gradient_matches_finite_differences():
     assert worst <= 1e-4
 
 
+def _kl_grad_loop_oracle(pred, gold, k):
+    """The listwise gradient as one pass per prefix length j = 1..k."""
+    pred = np.asarray(pred, dtype=float)
+    n = len(pred)
+    pi = np.asarray(rank_descending(list(gold)))
+    p_gold = topk_distribution(gold, pi, k)
+    e = np.exp(pred - pred.max())
+    tails = np.cumsum(e[pi][::-1])[::-1]
+    inv_tail_cum = np.cumsum(1.0 / tails)
+    pos = np.empty(n, dtype=int)
+    pos[pi] = np.arange(n)
+    grad = np.zeros(n)
+    for j in range(1, k + 1):
+        indicator = (pos <= j - 1).astype(float)
+        coupling = e * inv_tail_cum[np.minimum(j - 1, pos)]
+        grad += -p_gold[j - 1] * (indicator - coupling)
+    return grad
+
+
+def test_kl_gradient_matches_loop_oracle():
+    # Closed-form sums reorder the float additions, so equality is up to a
+    # few ulps of the largest gradient entry.
+    rng = np.random.default_rng(53)
+    for _ in range(500):
+        n = int(rng.integers(2, 60))
+        k = int(rng.integers(1, n + 1))
+        gold = rng.integers(0, 4, size=n) / 4.0 if rng.random() < 0.3 else rng.uniform(size=n)
+        pred = rng.normal(scale=float(rng.choice([0.1, 1.0, 10.0])), size=n)
+        got = kl_listwise_loss(pred, gold, k).grad
+        want = _kl_grad_loop_oracle(pred, gold, k)
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
 def test_kl_rejects_length_mismatch():
     with pytest.raises(ValidationError):
         kl_listwise_loss([0.0, 1.0], [0.0, 1.0, 2.0], 1)
