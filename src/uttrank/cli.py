@@ -1,11 +1,22 @@
 """Command-line entry point binding all modules.
 
-Every subcommand resolves its configuration from built-in defaults, then an
-optional JSON config file (--config), then explicit flags — flags win. Each
-run that writes files also writes a manifest.json next to them recording the
-command, the fully resolved configuration, the seed, the toolkit version,
-and content digests of the input files. Outputs are byte-identical across
-runs with identical inputs and seeds; only the manifest timestamp differs.
+Every subcommand but rouge resolves its configuration from defaults, then an
+optional JSON config file (--config), then explicit flags — flags win. The
+defaults are those of the owning code: TrainConfig and PipelineConfig fields
+for train, extract and eval, synth_corpus's keywords for synth, and
+grad_check's epsilon for gradcheck; only the keys no library code owns
+(split sizes, objective lists, gradcheck's points and seed) are set here.
+A config-file key is the flag's destination name (--use-spans is
+locator_use_spans) and its value must have the default's JSON type: an
+integer, a number, true/false, a string, or a list of integers for
+hidden_dims. eval trains its re-ranker with the stage-1 settings, and
+extract re-ranks exactly when --reranker is given.
+
+Each run that writes files also writes a manifest.json next to them recording
+the command, the resolved configuration with its typed values, the seed, the
+toolkit version, and content digests of the input files. Outputs are
+byte-identical across runs with identical inputs and seeds; only the manifest
+timestamp differs.
 
 Exit codes: 0 success, 1 validation/domain error, 2 usage error.
 """
@@ -15,11 +26,12 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import inspect
 import json
 import logging
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -32,7 +44,7 @@ from .evaluation import COMPARISON_OBJECTIVES, run_comparison
 from .pipeline import PipelineConfig, run_pipeline
 from .rouge import rouge_l, rouge_n
 from .scorer import FEATURE_DIM, init_model, load_model, save_model
-from .synthesis import synth_splits
+from .synthesis import synth_corpus, synth_splits
 from .trainer import (
     OBJECTIVES,
     TrainConfig,
@@ -93,28 +105,65 @@ def _load_config_file(path) -> dict:
     return loaded
 
 
+_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
+
+
+def _typed(key: str, value, default):
+    """value as the type of default; a ValidationError naming key if it has another type.
+
+    A float default also takes an integer, as JSON does not tell 1 from 1.0.
+    """
+    kind = type(default)
+    if kind is tuple:
+        if isinstance(value, (list, tuple)) and all(type(x) is int for x in value):
+            return tuple(value)
+        expected = "a list of integers"
+    elif type(value) is kind or (kind is float and type(value) is int):
+        return kind(value)
+    else:
+        expected = _TYPE_NAMES[kind]
+    raise ValidationError(f"config key {key!r} must be {expected}, got {value!r}")
+
+
 def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    """Merge defaults <- config file <- explicit flags (flags win)."""
-    file_cfg = _load_config_file(getattr(args, "config", None))
+    """Merge defaults <- config file <- explicit flags (flags win), typed like the defaults."""
+    file_cfg = _load_config_file(args.config)
     unknown = set(file_cfg) - set(defaults)
     if unknown:
         raise ValidationError(f"unknown config keys: {sorted(unknown)}")
     resolved = {}
     for key, default in defaults.items():
-        flag = getattr(args, key, None)
-        if flag is not None:
-            resolved[key] = flag
-        elif key in file_cfg:
-            resolved[key] = file_cfg[key]
-        else:
-            resolved[key] = default
+        flag = getattr(args, key)
+        value = flag if flag is not None else file_cfg.get(key, default)
+        resolved[key] = _typed(key, value, default)
     return resolved
 
 
-def _dims(text) -> tuple[int, ...]:
-    if isinstance(text, (list, tuple)):
-        return tuple(int(x) for x in text)
-    return tuple(int(x) for x in str(text).split(",") if x.strip())
+def _build(cls, resolved: dict):
+    """A config dataclass from the resolved values of its fields; others keep their defaults."""
+    return cls(**{f.name: resolved[f.name] for f in fields(cls) if f.name in resolved})
+
+
+def _field_defaults(cls, names=None) -> dict:
+    """Defaults of a config dataclass's fields, all of them or the named ones."""
+    owned = {f.name: f.default for f in fields(cls)}
+    return {name: owned[name] for name in names or owned}
+
+
+def _keyword_defaults(fn) -> dict:
+    return {
+        name: p.default
+        for name, p in inspect.signature(fn).parameters.items()
+        if p.default is not p.empty
+    }
+
+
+def _dims(text: str) -> tuple[int, ...]:
+    """--hidden-dims value: comma-separated layer sizes."""
+    try:
+        return tuple(int(x) for x in text.split(",") if x.strip())
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
 
 
 def _out_dir(path) -> Path:
@@ -124,44 +173,21 @@ def _out_dir(path) -> Path:
 
 
 TRAIN_DEFAULTS = {
-    "objective": "pairwise",
-    "epochs": 10,
-    "learning_rate": 5e-3,
-    "seed": 0,
-    "base_margin": 0.01,
-    "listwise_k": 10,
-    "shuffle": True,
-    "hidden_dims": "16",
-    "locator_positives": 8,
-    "use_spans": False,
-    "sample_size": 32,
-    "per_sample_top": 4,
+    **_field_defaults(TrainConfig),
+    **_field_defaults(PipelineConfig, ("sample_size", "per_sample_top")),
 }
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
     cfg = _resolve(args, TRAIN_DEFAULTS)
+    train_config = _build(TrainConfig, cfg)
+    pipeline_config = _build(PipelineConfig, cfg)
     out = _out_dir(args.out_dir)
     corpus = load_corpus(args.corpus, split="train")
-    train_config = TrainConfig(
-        objective=cfg["objective"],
-        learning_rate=float(cfg["learning_rate"]),
-        epochs=int(cfg["epochs"]),
-        seed=int(cfg["seed"]),
-        base_margin=float(cfg["base_margin"]),
-        listwise_k=int(cfg["listwise_k"]),
-        shuffle=bool(cfg["shuffle"]),
-        hidden_dims=_dims(cfg["hidden_dims"]),
-        locator_positives=int(cfg["locator_positives"]),
-        locator_use_spans=bool(cfg["use_spans"]),
-    )
-    pipeline_config = PipelineConfig(
-        sample_size=int(cfg["sample_size"]), per_sample_top=int(cfg["per_sample_top"])
-    )
     inputs = [args.corpus]
-    if cfg["objective"] == "pairwise":
+    if train_config.objective == "pairwise":
         result = train_ranker(corpus, train_config, pipeline_config)
-    elif cfg["objective"] == "listwise":
+    elif train_config.objective == "listwise":
         if not args.stage1_model:
             raise ValidationError("objective 'listwise' requires --stage1-model")
         stage1 = load_model(args.stage1_model)
@@ -181,27 +207,16 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-EXTRACT_DEFAULTS = {
-    "sample_size": 32,
-    "per_sample_top": 4,
-    "top_k": 10,
-    "token_budget": 1024,
-}
+EXTRACT_DEFAULTS = _field_defaults(PipelineConfig)
 
 
 def _cmd_extract(args: argparse.Namespace) -> int:
     cfg = _resolve(args, EXTRACT_DEFAULTS)
+    pipeline_config = _build(PipelineConfig, cfg)
     out = _out_dir(args.out_dir)
     corpus = load_corpus(args.corpus, split="test")
     model = load_model(args.model)
     reranker = load_model(args.reranker) if args.reranker else None
-    pipeline_config = PipelineConfig(
-        sample_size=int(cfg["sample_size"]),
-        per_sample_top=int(cfg["per_sample_top"]),
-        top_k=int(cfg["top_k"]),
-        token_budget=int(cfg["token_budget"]),
-        rerank_enabled=reranker is not None,
-    )
     with open(out / "extractions.jsonl", "w", encoding="utf-8") as fh:
         for instance in corpus:
             result = run_pipeline(instance, model, reranker, pipeline_config)
@@ -213,69 +228,35 @@ def _cmd_extract(args: argparse.Namespace) -> int:
             }
             fh.write(json.dumps(record, sort_keys=True) + "\n")
     inputs = [args.corpus, args.model] + ([args.reranker] if args.reranker else [])
-    cfg_snapshot = dict(cfg, rerank_enabled=reranker is not None)
-    _write_manifest(out, "extract", cfg_snapshot, None, inputs)
+    _write_manifest(out, "extract", cfg, None, inputs)
     return 0
 
 
 EVAL_DEFAULTS = {
     "objectives": ",".join(COMPARISON_OBJECTIVES),
-    "epochs": 10,
-    "learning_rate": 5e-3,
-    "seed": 0,
-    "base_margin": 0.01,
-    "listwise_k": 10,
-    "hidden_dims": "16",
-    "sample_size": 32,
-    "per_sample_top": 4,
-    "top_k": 10,
-    "token_budget": 1024,
-    "reranker_epochs": 0,
-    "reranker_learning_rate": 0.0,
+    **_field_defaults(
+        TrainConfig, ("epochs", "learning_rate", "seed", "base_margin", "listwise_k", "hidden_dims")
+    ),
+    **_field_defaults(PipelineConfig),
 }
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     cfg = _resolve(args, EVAL_DEFAULTS)
+    train_config = _build(TrainConfig, cfg)
+    pipeline_config = _build(PipelineConfig, cfg)
     out = _out_dir(args.out_dir)
     corpora = {
         "train": load_corpus(args.train_corpus, split="train"),
         "validation": load_corpus(args.validation_corpus, split="validation"),
         "test": load_corpus(args.test_corpus, split="test"),
     }
-    objectives = [o.strip() for o in str(cfg["objectives"]).split(",") if o.strip()]
-    train_config = TrainConfig(
-        objective="pairwise",
-        learning_rate=float(cfg["learning_rate"]),
-        epochs=int(cfg["epochs"]),
-        seed=int(cfg["seed"]),
-        base_margin=float(cfg["base_margin"]),
-        listwise_k=int(cfg["listwise_k"]),
-        hidden_dims=_dims(cfg["hidden_dims"]),
-    )
-    reranker_config = None
-    if cfg["reranker_epochs"] or cfg["reranker_learning_rate"]:
-        reranker_config = TrainConfig(
-            objective="listwise",
-            learning_rate=float(cfg["reranker_learning_rate"]) or train_config.learning_rate,
-            epochs=int(cfg["reranker_epochs"]) or train_config.epochs,
-            seed=train_config.seed,
-            base_margin=train_config.base_margin,
-            listwise_k=train_config.listwise_k,
-            hidden_dims=train_config.hidden_dims,
-        )
-    pipeline_config = PipelineConfig(
-        sample_size=int(cfg["sample_size"]),
-        per_sample_top=int(cfg["per_sample_top"]),
-        top_k=int(cfg["top_k"]),
-        token_budget=int(cfg["token_budget"]),
-    )
+    objectives = [o.strip() for o in cfg["objectives"].split(",") if o.strip()]
     report = run_comparison(
         corpora,
         objectives=objectives,
         train_config=train_config,
         pipeline_config=pipeline_config,
-        reranker_config=reranker_config,
     )
     (out / "report.json").write_text(report.to_json() + "\n", encoding="utf-8")
     (out / "report.txt").write_text(report.format_table() + "\n", encoding="utf-8")
@@ -343,8 +324,8 @@ GRADCHECK_DEFAULTS = {
     "objectives": ",".join(OBJECTIVES),
     "points": 50,
     "seed": 0,
-    "epsilon": 1e-6,
-    "hidden_dims": "16",
+    "epsilon": _keyword_defaults(grad_check)["epsilon"],
+    **_field_defaults(TrainConfig, ("hidden_dims",)),
 }
 
 
@@ -360,22 +341,22 @@ def _random_assembly(objective: str, rng: np.random.Generator):
 
 def _cmd_gradcheck(args: argparse.Namespace) -> int:
     cfg = _resolve(args, GRADCHECK_DEFAULTS)
-    objectives = [o.strip() for o in str(cfg["objectives"]).split(",") if o.strip()]
+    objectives = [o.strip() for o in cfg["objectives"].split(",") if o.strip()]
     unknown = [o for o in objectives if o not in OBJECTIVES]
     if unknown:
         raise ValidationError(f"unknown objectives {unknown}, expected among {list(OBJECTIVES)}")
-    rng = np.random.default_rng(int(cfg["seed"]))
-    dims = (FEATURE_DIM, *_dims(cfg["hidden_dims"]), 1)
+    rng = np.random.default_rng(cfg["seed"])
+    dims = (FEATURE_DIM, *cfg["hidden_dims"], 1)
     results = {}
     all_passed = True
     for objective in objectives:
-        worst = 0.0
-        for _ in range(int(cfg["points"])):
+        worst, passed = 0.0, True
+        for _ in range(cfg["points"]):
             model = init_model(dims, seed=int(rng.integers(0, 2**31)))
             assembly = _random_assembly(objective, rng)
-            report = grad_check(assembly, model, epsilon=float(cfg["epsilon"]))
+            report = grad_check(assembly, model, epsilon=cfg["epsilon"])
             worst = max(worst, report.max_relative_error)
-        passed = worst <= 1e-4
+            passed &= report.passed
         all_passed &= passed
         results[objective] = {"max_relative_error": worst, "passed": passed}
     payload = json.dumps(results, indent=2, sort_keys=True)
@@ -383,50 +364,35 @@ def _cmd_gradcheck(args: argparse.Namespace) -> int:
     if args.out_dir:
         out = _out_dir(args.out_dir)
         (out / "gradcheck.json").write_text(payload + "\n", encoding="utf-8")
-        _write_manifest(out, "gradcheck", cfg, int(cfg["seed"]), [])
+        _write_manifest(out, "gradcheck", cfg, cfg["seed"], [])
     return 0 if all_passed else 1
 
 
+# synth_corpus's keyword defaults but split: synth writes every split.
+_SYNTH_KEYWORDS = {k: v for k, v in _keyword_defaults(synth_corpus).items() if k != "split"}
 SYNTH_DEFAULTS = {
+    # Split sizes are the only keys without an owner; a validation or test
+    # size of 0 means a tenth or a quarter of the train size.
     "instances": 200,
     "validation_instances": 0,
     "test_instances": 0,
-    "utterances": 40,
-    "noise": 0.05,
-    "seed": 0,
-    "summary_words": 60,
-    "query_words": 30,
-    "min_tokens": 10,
-    "max_tokens": 14,
-    "segment_len": 10,
-    "offtopic_cap": 0.15,
+    "utterances": _SYNTH_KEYWORDS.pop("n_utterances"),  # set by --utterances
+    **_SYNTH_KEYWORDS,
 }
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
     cfg = _resolve(args, SYNTH_DEFAULTS)
     out = _out_dir(args.out_dir)
-    n_train = int(cfg["instances"])
-    n_validation = int(cfg["validation_instances"]) or max(1, n_train // 10)
-    n_test = int(cfg["test_instances"]) or max(1, n_train // 4)
-    splits = synth_splits(
-        n_train,
-        n_validation,
-        n_test,
-        n_utterances=int(cfg["utterances"]),
-        noise=float(cfg["noise"]),
-        seed=int(cfg["seed"]),
-        summary_words=int(cfg["summary_words"]),
-        query_words=int(cfg["query_words"]),
-        min_tokens=int(cfg["min_tokens"]),
-        max_tokens=int(cfg["max_tokens"]),
-        segment_len=int(cfg["segment_len"]),
-        offtopic_cap=float(cfg["offtopic_cap"]),
-    )
+    n_train = cfg["instances"]
+    n_validation = cfg["validation_instances"] or max(1, n_train // 10)
+    n_test = cfg["test_instances"] or max(1, n_train // 4)
+    keywords = {k: cfg[k] for k in _SYNTH_KEYWORDS}
+    splits = synth_splits(n_train, n_validation, n_test, n_utterances=cfg["utterances"], **keywords)
     for split in SPLITS:
         save_corpus(splits[split], out / f"{split}.jsonl")
     resolved = dict(cfg, validation_instances=n_validation, test_instances=n_test)
-    _write_manifest(out, "synth", resolved, int(cfg["seed"]), [])
+    _write_manifest(out, "synth", resolved, cfg["seed"], [])
     return 0
 
 
@@ -449,9 +415,14 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--base-margin", type=float)
     train.add_argument("--listwise-k", type=int)
     train.add_argument("--shuffle", action=argparse.BooleanOptionalAction, default=None)
-    train.add_argument("--hidden-dims", help="comma-separated hidden layer sizes")
+    train.add_argument("--hidden-dims", type=_dims, help="comma-separated hidden layer sizes")
     train.add_argument("--locator-positives", type=int)
-    train.add_argument("--use-spans", action=argparse.BooleanOptionalAction, default=None)
+    train.add_argument(
+        "--use-spans",
+        dest="locator_use_spans",
+        action=argparse.BooleanOptionalAction,
+        default=None,
+    )
     train.add_argument("--sample-size", type=int)
     train.add_argument("--per-sample-top", type=int)
     train.add_argument("--stage1-model", help="frozen stage-1 checkpoint (listwise only)")
@@ -481,13 +452,11 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--seed", type=int)
     evaluate.add_argument("--base-margin", type=float)
     evaluate.add_argument("--listwise-k", type=int)
-    evaluate.add_argument("--hidden-dims")
+    evaluate.add_argument("--hidden-dims", type=_dims)
     evaluate.add_argument("--sample-size", type=int)
     evaluate.add_argument("--per-sample-top", type=int)
     evaluate.add_argument("--top-k", type=int)
     evaluate.add_argument("--token-budget", type=int)
-    evaluate.add_argument("--reranker-epochs", type=int)
-    evaluate.add_argument("--reranker-learning-rate", type=float)
     evaluate.set_defaults(func=_cmd_eval)
 
     rouge = sub.add_parser("rouge", help="score candidate/reference text pairs")
@@ -503,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     gradcheck.add_argument("--points", type=int)
     gradcheck.add_argument("--seed", type=int)
     gradcheck.add_argument("--epsilon", type=float)
-    gradcheck.add_argument("--hidden-dims")
+    gradcheck.add_argument("--hidden-dims", type=_dims)
     gradcheck.add_argument("--out-dir")
     gradcheck.set_defaults(func=_cmd_gradcheck)
 

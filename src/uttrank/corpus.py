@@ -13,7 +13,7 @@ concurrent readers.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
@@ -78,6 +78,13 @@ class QueryInstance:
                 raise ValidationError(
                     f"instance {self.instance_id!r}: utterance {u.index} has no tokens"
                 )
+        n = len(self.utterances)
+        for start, stop in self.relevant_spans or ():
+            if not 0 <= start <= stop < n:
+                raise ValidationError(
+                    f"instance {self.instance_id!r}: relevant span [{start}, {stop}] "
+                    f"must satisfy 0 <= start <= stop < {n}"
+                )
 
 
 @dataclass(frozen=True)
@@ -103,7 +110,7 @@ class Corpus:
 
 @dataclass(frozen=True)
 class RankSample:
-    """A contiguous utterance group with aligned gold relevance labels.
+    """A contiguous utterance group.
 
     The unit of pairwise training: at least two members, so every sample
     admits at least one comparison.
@@ -111,18 +118,12 @@ class RankSample:
 
     instance_id: str
     member_indices: tuple[int, ...]
-    gold_relevance: tuple[float, ...] = field(default=())
 
     def __post_init__(self):
         if len(self.member_indices) < 2:
             raise ValidationError(
                 f"sample for {self.instance_id!r} needs >= 2 members, "
                 f"got {len(self.member_indices)}"
-            )
-        if len(self.gold_relevance) != len(self.member_indices):
-            raise ValidationError(
-                f"sample for {self.instance_id!r}: gold_relevance length "
-                f"{len(self.gold_relevance)} != member count {len(self.member_indices)}"
             )
 
 
@@ -146,7 +147,7 @@ def _parse_instance(record: dict, path: str, line_number: int) -> QueryInstance:
             gold_summary=str(record["gold_summary"]),
             relevant_spans=tuple((int(a), int(b)) for a, b in spans) if spans else None,
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise CorpusFormatError(path, line_number, f"missing or malformed field: {exc}") from exc
     instance.validate()
     return instance
@@ -197,11 +198,7 @@ def save_corpus(corpus: Corpus | Iterable[QueryInstance], path: str | Path) -> N
             fh.write(json.dumps(instance_to_record(instance), ensure_ascii=False) + "\n")
 
 
-def partition_samples(
-    instance: QueryInstance,
-    sample_size: int,
-    gold_relevance,
-) -> list[RankSample]:
+def partition_samples(instance: QueryInstance, sample_size: int) -> list[RankSample]:
     """Split an instance into contiguous ranking samples of sample_size utterances.
 
     The final window may be smaller, but a trailing singleton is merged into
@@ -215,22 +212,10 @@ def partition_samples(
         raise ValidationError(
             f"instance {instance.instance_id!r} has {n} utterances; need >= 2"
         )
-    if len(gold_relevance) != n:
-        raise ValidationError(
-            f"instance {instance.instance_id!r}: gold_relevance length "
-            f"{len(gold_relevance)} != utterance count {n}"
-        )
     bounds = list(range(0, n, sample_size)) + [n]
     if bounds[-1] - bounds[-2] == 1:
         del bounds[-2]  # merge trailing singleton into the previous window
-    samples = []
-    for start, stop in zip(bounds, bounds[1:]):
-        members = tuple(range(start, stop))
-        samples.append(
-            RankSample(
-                instance_id=instance.instance_id,
-                member_indices=members,
-                gold_relevance=tuple(float(gold_relevance[i]) for i in members),
-            )
-        )
-    return samples
+    return [
+        RankSample(instance_id=instance.instance_id, member_indices=tuple(range(start, stop)))
+        for start, stop in zip(bounds, bounds[1:])
+    ]

@@ -283,7 +283,6 @@ def _train_models(
     prepared_train: list[PreparedInstance],
     train_config: TrainConfig,
     pipeline_config: PipelineConfig,
-    reranker_config: TrainConfig | None,
 ) -> dict[str, ScoringModel]:
     models: dict[str, ScoringModel] = {}
     needs_stage1 = "pairwise" in objectives or "pairwise+listwise" in objectives
@@ -296,11 +295,10 @@ def _train_models(
         ).model
         models["pairwise"] = stage1
         if "pairwise+listwise" in objectives:
-            listwise_config = reranker_config or replace(train_config, objective="listwise")
             models["pairwise+listwise"] = train_reranker(
                 train_corpus,
                 stage1,
-                listwise_config,
+                replace(train_config, objective="listwise"),
                 pipeline_config,
                 prepared=prepared_train,
             ).model
@@ -320,7 +318,6 @@ def run_comparison(
     objectives=COMPARISON_OBJECTIVES,
     train_config: TrainConfig | None = None,
     pipeline_config: PipelineConfig | None = None,
-    reranker_config: TrainConfig | None = None,
     prepared: dict[str, list[PreparedInstance]] | None = None,
 ) -> ComparisonReport:
     """Train each requested objective and score all extractors on the test split.
@@ -350,7 +347,7 @@ def run_comparison(
     prepared_test = prepared.get("test") or prepare_corpus(corpora["test"])
 
     models = _train_models(
-        trainable, corpora["train"], prepared_train, train_config, pipeline_config, reranker_config
+        trainable, corpora["train"], prepared_train, train_config, pipeline_config
     )
 
     k = pipeline_config.top_k
@@ -367,13 +364,11 @@ def run_comparison(
             order = rank_descending(scores.tolist())
             if objective == "pairwise+listwise":
                 extraction = run_pipeline(
-                    instance, models["pairwise"], model,
-                    replace(pipeline_config, rerank_enabled=True), features=prep.features,
+                    instance, models["pairwise"], model, pipeline_config, features=prep.features
                 )
             elif objective == "pairwise":
                 extraction = run_pipeline(
-                    instance, model, None,
-                    replace(pipeline_config, rerank_enabled=False), features=prep.features,
+                    instance, model, None, pipeline_config, features=prep.features
                 )
             else:
                 extraction = select_topk(
@@ -408,7 +403,6 @@ def run_comparison(
     config_snapshot = {
         "train": asdict(train_config),
         "pipeline": asdict(pipeline_config),
-        "reranker": asdict(reranker_config) if reranker_config else None,
     }
     return ComparisonReport(
         rows=rows,

@@ -39,10 +39,7 @@ class PipelineConfig:
     sample_size: int = 32
     per_sample_top: int = 4
     top_k: int = 10
-    listwise_k: int | None = None  # defaults to top_k
-    base_margin: float = 0.01
     token_budget: int = 1024
-    rerank_enabled: bool = True
 
     def __post_init__(self):
         if self.sample_size < 2:
@@ -55,14 +52,8 @@ class PipelineConfig:
             )
         if self.top_k < 1:
             raise ValidationError(f"top_k must be >= 1, got {self.top_k}")
-        if self.listwise_k is not None and self.listwise_k < 1:
-            raise ValidationError(f"listwise_k must be >= 1, got {self.listwise_k}")
         if self.token_budget < 1:
             raise ValidationError(f"token_budget must be >= 1, got {self.token_budget}")
-
-    @property
-    def effective_listwise_k(self) -> int:
-        return self.top_k if self.listwise_k is None else self.listwise_k
 
 
 @dataclass(frozen=True)
@@ -225,29 +216,27 @@ def run_pipeline(
 ) -> ExtractionResult:
     """Full extraction for one instance; deterministic given models and config.
 
-    features is the instance's feature matrix, computed here when not given;
-    both models score the same matrix.
+    With reranker None the pool is ordered by stage-1 scores (the ablation
+    path). features is the instance's feature matrix, computed here when not
+    given; both models score the same matrix.
     """
-    if config.rerank_enabled and reranker is None:
-        raise ValidationError("rerank_enabled requires a re-ranker model")
     if features is None:
         features = instance_features(instance)
 
-    n = len(instance.utterances)
-    samples = partition_samples(instance, config.sample_size, [0.0] * n)
+    samples = partition_samples(instance, config.sample_size)
     ranker_scores = score_utterances(ranker, instance, features=features)
     stage1_orders = tuple(stage1_rank(s, ranker_scores) for s in samples)
     pool = pool_candidates(
         [(order, ranker_scores) for order in stage1_orders], config.per_sample_top
     )
 
-    if config.rerank_enabled:
+    if reranker is None:
+        global_order = _order_by_score([c.index for c in pool], ranker_scores)
+        selection_scores = ranker_scores
+    else:
         rerank_scores = score_utterances(reranker, instance, features=features)
         global_order = stage2_rerank(pool, rerank_scores)
         selection_scores = rerank_scores
-    else:
-        global_order = _order_by_score([c.index for c in pool], ranker_scores)
-        selection_scores = ranker_scores
 
     result = select_topk(
         global_order, selection_scores, instance, config.top_k, config.token_budget

@@ -167,15 +167,14 @@ def synth_splits(
     n_train: int,
     n_validation: int,
     n_test: int,
-    n_utterances: int = 40,
-    noise: float = 0.05,
     seed: int = 0,
     **kwargs,
 ) -> dict[str, Corpus]:
     """Train/validation/test splits from one seed, each drawn independently.
 
     Splits with a zero count are omitted; the per-split streams do not
-    shift when another split's count changes.
+    shift when another split's count changes. Keyword arguments such as
+    n_utterances and noise go to synth_corpus.
     """
     counts = dict(zip(SPLITS, (n_train, n_validation, n_test)))
     children = np.random.SeedSequence(seed).spawn(len(SPLITS))
@@ -183,12 +182,5 @@ def synth_splits(
     for split, child in zip(SPLITS, children):
         if counts[split] == 0:
             continue
-        out[split] = synth_corpus(
-            counts[split],
-            n_utterances=n_utterances,
-            noise=noise,
-            seed=child,
-            split=split,
-            **kwargs,
-        )
+        out[split] = synth_corpus(counts[split], seed=child, split=split, **kwargs)
     return out

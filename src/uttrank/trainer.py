@@ -12,6 +12,7 @@ through TrainConfig.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -163,7 +164,7 @@ def make_objective_assembly(
     features: np.ndarray,
     targets: np.ndarray,
     *,
-    base_margin: float = 0.01,
+    base_margin: float = TrainConfig.base_margin,
     listwise_k: int | None = None,
 ) -> LossAssembly:
     """Bind one objective's loss to concrete feature rows and targets.
@@ -196,15 +197,26 @@ def _run_epochs(
     units: list[LossAssembly],
     config: TrainConfig,
 ) -> TrainResult:
+    """Gradient descent over the units; raises on a non-finite loss or parameter."""
     rng = np.random.default_rng(config.seed)
     history = []
-    for _ in range(config.epochs):
+    for epoch in range(1, config.epochs + 1):
         order = rng.permutation(len(units)) if config.shuffle else np.arange(len(units))
         total = 0.0
         for u in order:
             value, pgrad = units[u].value_and_grad(model)
+            if not math.isfinite(value):
+                raise ValidationError(
+                    f"training diverged: loss {value} at epoch {epoch}, unit {u}; "
+                    "lower the learning rate"
+                )
             apply_gradient(model, pgrad, config.learning_rate)
             total += value
+        if not np.isfinite(flat_params(model)).all():
+            raise ValidationError(
+                f"training diverged: non-finite parameters after epoch {epoch}; "
+                "lower the learning rate"
+            )
         history.append(total / len(units))
     return TrainResult(model=model, epoch_losses=history)
 
@@ -225,7 +237,7 @@ def _sample_units(
             targets_all = locator_labels(prep, config.locator_positives, config.locator_use_spans)
         else:
             targets_all = prep.relevance
-        for sample in partition_samples(prep.instance, pipeline_config.sample_size, prep.relevance):
+        for sample in partition_samples(prep.instance, pipeline_config.sample_size):
             members = list(sample.member_indices)
             units.append(
                 make_objective_assembly(
@@ -297,7 +309,7 @@ def train_reranker(
         if n < 2:
             logger.warning("skipping instance %s: fewer than 2 utterances", prep.instance.instance_id)
             continue
-        samples = partition_samples(prep.instance, pipeline_config.sample_size, prep.relevance)
+        samples = partition_samples(prep.instance, pipeline_config.sample_size)
         scores = forward(stage1_model, prep.features)[0]
         ranked = [(stage1_rank(s, scores), scores) for s in samples]
         pool = pool_candidates(ranked, pipeline_config.per_sample_top)

@@ -8,7 +8,6 @@ always shows the verdict table.
 import itertools
 import json
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -242,11 +241,10 @@ def test_criterion_07_reranking_ablation_direction(capsys, planted_seed7):
 
     ndcg = {"on": [], "off": []}
     overlap = {"on": [], "off": []}
-    off_cfg = replace(pcfg, rerank_enabled=False)
     for prep in prep_test:
         inst = prep.instance
         full = run_pipeline(inst, stage1, reranker, pcfg)
-        bare = run_pipeline(inst, stage1, None, off_cfg)
+        bare = run_pipeline(inst, stage1, None, pcfg)
         for key, ext in (("on", full), ("off", bare)):
             ndcg[key].append(ndcg_at_k(list(ext.selected_indices), prep.relevance, 10))
             overlap[key].append(topk_rouge_overlap(ext, inst.gold_summary)[10][0].f1)
@@ -378,15 +376,11 @@ def test_criterion_10_budget_contract(capsys):
     )
     ranker = init_model((FEATURE_DIM, 16, 1), seed=1)
     reranker = init_model((FEATURE_DIM, 16, 1), seed=2)
-    on_cfg = PipelineConfig(sample_size=10, per_sample_top=3)
-    off_cfg = replace(on_cfg, rerank_enabled=False)
+    config = PipelineConfig(sample_size=10, per_sample_top=3)
     worst = 0
     truncated = 0
     for i, instance in enumerate(corpus):
-        if i % 2 == 0:
-            result = run_pipeline(instance, ranker, reranker, on_cfg)
-        else:
-            result = run_pipeline(instance, ranker, None, off_cfg)
+        result = run_pipeline(instance, ranker, reranker if i % 2 == 0 else None, config)
         worst = max(worst, len(tokenize(result.generator_input)))
         truncated += result.truncated
     ok = worst <= 1024

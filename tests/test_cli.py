@@ -1,11 +1,24 @@
 """End-to-end command-line behaviour: exit codes, files, determinism."""
 
+import inspect
 import json
-from pathlib import Path
+import re
+from dataclasses import asdict
 
 import pytest
 
-from uttrank.cli import dispatch
+from uttrank.cli import (
+    EVAL_DEFAULTS,
+    EXTRACT_DEFAULTS,
+    GRADCHECK_DEFAULTS,
+    SYNTH_DEFAULTS,
+    TRAIN_DEFAULTS,
+    build_parser,
+    dispatch,
+)
+from uttrank.pipeline import PipelineConfig
+from uttrank.synthesis import synth_corpus
+from uttrank.trainer import TrainConfig, grad_check
 
 
 def _synth(tmp_path, name="corpus", **over):
@@ -222,6 +235,7 @@ def test_config_file_with_flag_override(trained):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["epochs"] == 1  # flag beats file
     assert manifest["config"]["seed"] == 4  # file beats default
+    assert manifest["config"]["hidden_dims"] == [16]  # the typed value that ran
     assert len((out / "loss_history.csv").read_text().splitlines()) == 2
 
 
@@ -238,6 +252,99 @@ def test_config_file_rejects_unknown_keys(trained):
         ]
     )
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("epochs", "x"), ("hidden_dims", "a,b"), ("epochs", None), ("sample_size", 1.5), ("shuffle", "false")],
+)
+def test_config_file_rejects_wrong_type(trained, tmp_path, capsys, key, value):
+    _, corpus, _ = trained
+    cfg = tmp_path / "typed.json"
+    cfg.write_text(json.dumps({key: value}), encoding="utf-8")
+    out = tmp_path / "typedrun"
+    code = dispatch(
+        ["train", "--corpus", str(corpus / "train.jsonl"), "--out-dir", str(out), "--config", str(cfg)]
+    )
+    assert code == 1
+    assert repr(key) in capsys.readouterr().err
+    assert not (out / "model.json").exists()
+
+
+def test_train_aborts_on_divergence(trained, tmp_path, capsys):
+    _, corpus, _ = trained
+    out = tmp_path / "diverged"
+    code = dispatch(
+        [
+            "train",
+            "--corpus", str(corpus / "train.jsonl"),
+            "--out-dir", str(out),
+            "--objective", "mse",
+            "--learning-rate", "1e6",
+            "--epochs", "3",
+        ]
+    )
+    assert code == 1
+    assert re.search(r"diverged: .* at epoch \d+, unit \d+", capsys.readouterr().err)
+    assert not (out / "model.json").exists()
+
+
+# Each subcommand's flags, less paths, model inputs and --config, are exactly
+# the keys it resolves; a flag without a key would be ignored.
+_REQUIRED = {
+    "train": ["--corpus", "c", "--out-dir", "o"],
+    "extract": ["--corpus", "c", "--model", "m", "--out-dir", "o"],
+    "eval": ["--train-corpus", "a", "--validation-corpus", "b", "--test-corpus", "c", "--out-dir", "o"],
+    "gradcheck": [],
+    "synth": ["--out-dir", "o"],
+}
+_NOT_RESOLVED = {
+    "command", "func", "config", "out_dir", "corpus", "model", "reranker", "stage1_model",
+    "train_corpus", "validation_corpus", "test_corpus",
+}
+
+
+@pytest.mark.parametrize(
+    "command, defaults",
+    [
+        ("train", TRAIN_DEFAULTS),
+        ("extract", EXTRACT_DEFAULTS),
+        ("eval", EVAL_DEFAULTS),
+        ("gradcheck", GRADCHECK_DEFAULTS),
+        ("synth", SYNTH_DEFAULTS),
+    ],
+)
+def test_flags_match_resolved_keys(command, defaults):
+    args = build_parser().parse_args([command, *_REQUIRED[command]])
+    assert set(vars(args)) - _NOT_RESOLVED == set(defaults)
+
+
+def _owned(owner) -> dict:
+    if inspect.isfunction(owner):
+        params = inspect.signature(owner).parameters.values()
+        return {p.name: p.default for p in params if p.default is not p.empty}
+    return asdict(owner)
+
+
+@pytest.mark.parametrize(
+    "defaults, owners, cli_only",
+    [
+        (TRAIN_DEFAULTS, (TrainConfig(), PipelineConfig()), set()),
+        (EXTRACT_DEFAULTS, (PipelineConfig(),), set()),
+        (EVAL_DEFAULTS, (TrainConfig(), PipelineConfig()), {"objectives"}),
+        (GRADCHECK_DEFAULTS, (grad_check, TrainConfig()), {"objectives", "points", "seed"}),
+        (SYNTH_DEFAULTS, (synth_corpus,), {"instances", "validation_instances", "test_instances"}),
+    ],
+    ids=["train", "extract", "eval", "gradcheck", "synth"],
+)
+def test_defaults_equal_their_owners(defaults, owners, cli_only):
+    owned = {}
+    for owner in owners:
+        owned.update(_owned(owner))
+    aliases = {"utterances": "n_utterances"}
+    for key, value in defaults.items():
+        if key not in cli_only:
+            assert value == owned[aliases.get(key, key)], key
 
 
 # ----------------------------------------------------------------------- eval

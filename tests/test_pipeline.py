@@ -55,7 +55,7 @@ def _linear_model(weights, bias=0.0):
 
 def test_stage1_zero_scores_identity_order():
     inst = _instance(8)
-    samples = partition_samples(inst, 4, [0.0] * 8)
+    samples = partition_samples(inst, 4)
     scores = np.zeros(8)
     assert stage1_rank(samples[0], scores) == (0, 1, 2, 3)
     assert stage1_rank(samples[1], scores) == (4, 5, 6, 7)
@@ -67,14 +67,14 @@ def test_stage1_negative_position_weight_gives_transcript_order():
     w[4] = -1.0  # read only the relative-position feature
     model = _linear_model(w)
     scores = score_utterances(model, inst)
-    samples = partition_samples(inst, 10, [0.0] * 10)
+    samples = partition_samples(inst, 10)
     assert stage1_rank(samples[0], scores) == tuple(range(10))
 
 
 def test_stage1_matches_argsort_oracle():
     rng = np.random.default_rng(71)
     inst = _instance(12)
-    samples = partition_samples(inst, 6, [0.0] * 12)
+    samples = partition_samples(inst, 6)
     for _ in range(20):
         scores = rng.normal(size=12)
         for sample in samples:
@@ -233,7 +233,7 @@ def _models(seed_a=1, seed_b=2):
 def test_pipeline_rerank_off_single_sample_is_plain_topk():
     inst = _instance(9)
     ranker, _ = _models()
-    config = PipelineConfig(sample_size=16, top_k=4, rerank_enabled=False)
+    config = PipelineConfig(sample_size=16, top_k=4)
     result = run_pipeline(inst, ranker, None, config)
     scores = score_utterances(ranker, inst)
     want = sorted(range(9), key=lambda i: (-scores[i], i))[:4]
@@ -244,12 +244,10 @@ def test_pipeline_selection_subset_of_pool():
     inst = _instance(20)
     ranker, reranker = _models()
     for rerank in (True, False):
-        config = PipelineConfig(
-            sample_size=5, per_sample_top=2, top_k=6, rerank_enabled=rerank
-        )
+        config = PipelineConfig(sample_size=5, per_sample_top=2, top_k=6)
         result = run_pipeline(inst, ranker, reranker if rerank else None, config)
         scores = score_utterances(ranker, inst)
-        samples = partition_samples(inst, 5, [0.0] * 20)
+        samples = partition_samples(inst, 5)
         pool = {
             i
             for s in samples
@@ -266,13 +264,6 @@ def test_pipeline_deterministic():
     a = run_pipeline(inst, ranker, reranker, config)
     b = run_pipeline(inst, ranker, reranker, config)
     assert a == b
-
-
-def test_pipeline_requires_reranker_when_enabled():
-    inst = _instance(5)
-    ranker, _ = _models()
-    with pytest.raises(ValidationError):
-        run_pipeline(inst, ranker, None, PipelineConfig())
 
 
 def test_pipeline_invariant_under_increasing_score_transform():
@@ -317,5 +308,3 @@ def test_pipeline_config_validation():
         PipelineConfig(sample_size=4, per_sample_top=5)
     with pytest.raises(ValidationError):
         PipelineConfig(top_k=0)
-    assert PipelineConfig(top_k=7).effective_listwise_k == 7
-    assert PipelineConfig(top_k=7, listwise_k=3).effective_listwise_k == 3

@@ -296,7 +296,7 @@ def test_reranker_beats_stage1_scores_on_pools(planted):
     for prep in prep_test:
         inst = prep.instance
         s1 = score_utterances(stage1, inst)
-        samples = partition_samples(inst, pcfg.sample_size, [0.0] * len(inst.utterances))
+        samples = partition_samples(inst, pcfg.sample_size)
         pool = pool_candidates(
             [(stage1_rank(s, s1), s1) for s in samples], pcfg.per_sample_top
         )
