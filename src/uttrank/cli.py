@@ -16,7 +16,9 @@ Each run that writes files also writes a manifest.json next to them recording
 the command, the resolved configuration with its typed values, the seed, the
 toolkit version, and content digests of the input files. Outputs are
 byte-identical across runs with identical inputs and seeds; only the manifest
-timestamp differs.
+timestamp differs. Every output file is written through fileio.atomic_open, so
+a command that fails part-way leaves the previous file, if any, and no partial
+one.
 
 Exit codes: 0 success, 1 validation/domain error, 2 usage error.
 """
@@ -41,8 +43,9 @@ from . import __version__
 from .corpus import SPLITS, load_corpus, save_corpus
 from .errors import UttrankError, ValidationError
 from .evaluation import COMPARISON_OBJECTIVES, run_comparison
+from .fileio import atomic_open
 from .pipeline import PipelineConfig, run_pipeline
-from .rouge import rouge_l, rouge_n
+from .rouge import rouge_scores
 from .scorer import FEATURE_DIM, init_model, load_model, save_model
 from .synthesis import synth_corpus, synth_splits
 from .trainer import (
@@ -81,6 +84,11 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
+def _write_text(path: Path, text: str) -> None:
+    with atomic_open(path) as fh:
+        fh.write(text)
+
+
 def _write_manifest(out_dir: Path, command: str, config: dict, seed, inputs) -> None:
     manifest = RunManifest(
         command=command,
@@ -90,7 +98,7 @@ def _write_manifest(out_dir: Path, command: str, config: dict, seed, inputs) -> 
         input_digests={str(p): _sha256(Path(p)) for p in inputs},
         timestamp=datetime.now(timezone.utc).isoformat(),
     )
-    (out_dir / "manifest.json").write_text(manifest.to_json() + "\n", encoding="utf-8")
+    _write_text(out_dir / "manifest.json", manifest.to_json() + "\n")
 
 
 def _load_config_file(path) -> dict:
@@ -197,7 +205,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         result = train_baseline(corpus, train_config, pipeline_config)
 
     save_model(result.model, out / "model.json")
-    with open(out / "loss_history.csv", "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(out / "loss_history.csv", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["epoch", "mean_loss"])
         for epoch, loss in enumerate(result.epoch_losses, start=1):
@@ -217,7 +225,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     corpus = load_corpus(args.corpus, split="test")
     model = load_model(args.model)
     reranker = load_model(args.reranker) if args.reranker else None
-    with open(out / "extractions.jsonl", "w", encoding="utf-8") as fh:
+    with atomic_open(out / "extractions.jsonl") as fh:
         for instance in corpus:
             result = run_pipeline(instance, model, reranker, pipeline_config)
             record = {
@@ -258,8 +266,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         train_config=train_config,
         pipeline_config=pipeline_config,
     )
-    (out / "report.json").write_text(report.to_json() + "\n", encoding="utf-8")
-    (out / "report.txt").write_text(report.format_table() + "\n", encoding="utf-8")
+    _write_text(out / "report.json", report.to_json() + "\n")
+    _write_text(out / "report.txt", report.format_table() + "\n")
     print(report.format_table())
     inputs = [args.train_corpus, args.validation_corpus, args.test_corpus]
     _write_manifest(out, "eval", cfg, train_config.seed, inputs)
@@ -292,16 +300,9 @@ def _cmd_rouge(args: argparse.Namespace) -> int:
     pairs = _rouge_pairs(args)
     rows = []
     for candidate, reference in pairs:
-        scores = {
-            "rouge1": rouge_n(candidate, reference, 1),
-            "rouge2": rouge_n(candidate, reference, 2),
-            "rougeL": rouge_l(candidate, reference),
-        }
+        scores = zip(("rouge1", "rouge2", "rougeL"), rouge_scores([candidate], reference)[0])
         rows.append(
-            {
-                name: {"precision": s.precision, "recall": s.recall, "f1": s.f1}
-                for name, s in scores.items()
-            }
+            {name: {"precision": s.precision, "recall": s.recall, "f1": s.f1} for name, s in scores}
         )
     mean = {
         name: {
@@ -314,7 +315,7 @@ def _cmd_rouge(args: argparse.Namespace) -> int:
     print(payload)
     if args.out_dir:
         out = _out_dir(args.out_dir)
-        (out / "rouge.json").write_text(payload + "\n", encoding="utf-8")
+        _write_text(out / "rouge.json", payload + "\n")
         inputs = [p for p in (args.pairs, args.candidate, args.reference) if p]
         _write_manifest(out, "rouge", {}, None, inputs)
     return 0
@@ -341,6 +342,8 @@ def _random_assembly(objective: str, rng: np.random.Generator):
 
 def _cmd_gradcheck(args: argparse.Namespace) -> int:
     cfg = _resolve(args, GRADCHECK_DEFAULTS)
+    if cfg["points"] < 1:
+        raise ValidationError(f"points must be >= 1, got {cfg['points']}")
     objectives = [o.strip() for o in cfg["objectives"].split(",") if o.strip()]
     unknown = [o for o in objectives if o not in OBJECTIVES]
     if unknown:
@@ -363,7 +366,7 @@ def _cmd_gradcheck(args: argparse.Namespace) -> int:
     print(payload)
     if args.out_dir:
         out = _out_dir(args.out_dir)
-        (out / "gradcheck.json").write_text(payload + "\n", encoding="utf-8")
+        _write_text(out / "gradcheck.json", payload + "\n")
         _write_manifest(out, "gradcheck", cfg, cfg["seed"], [])
     return 0 if all_passed else 1
 

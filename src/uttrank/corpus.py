@@ -18,6 +18,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .errors import CorpusFormatError, ValidationError
+from .fileio import atomic_open
 from .rouge import tokenize
 
 SPLITS = ("train", "validation", "test")
@@ -145,7 +146,7 @@ def _parse_instance(record: dict, path: str, line_number: int) -> QueryInstance:
             query=str(record["query"]),
             utterances=utterances,
             gold_summary=str(record["gold_summary"]),
-            relevant_spans=tuple((int(a), int(b)) for a, b in spans) if spans else None,
+            relevant_spans=None if spans is None else tuple((int(a), int(b)) for a, b in spans),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise CorpusFormatError(path, line_number, f"missing or malformed field: {exc}") from exc
@@ -193,7 +194,7 @@ def save_corpus(corpus: Corpus | Iterable[QueryInstance], path: str | Path) -> N
     """Write instances as JSONL; load_corpus on the result round-trips exactly."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         for instance in corpus:
             fh.write(json.dumps(instance_to_record(instance), ensure_ascii=False) + "\n")
 

@@ -20,7 +20,7 @@ import numpy as np
 from .corpus import Corpus, instance_to_record
 from .errors import ValidationError
 from .pipeline import ExtractionResult, PipelineConfig, run_pipeline, select_topk
-from .rouge import RougeScore, rank_descending, rouge_l, rouge_n
+from .rouge import RougeScore, rank_descending, rouge_scores
 from .scorer import ScoringModel, forward
 from .trainer import (
     PreparedInstance,
@@ -150,18 +150,13 @@ def topk_rouge_overlap(
         range(n),
         key=lambda i: (-extraction.selection_scores[i], extraction.selected_indices[i]),
     )
-    out = {}
+    texts = {}
     for k in k_values:
         if k < 1:
             raise ValidationError(f"k values must be >= 1, got {k}")
         keep = sorted(by_score[: min(k, n)])  # back to transcript order
-        text = "\n".join(extraction.selected_texts[i] for i in keep)
-        out[k] = (
-            rouge_n(text, gold_summary, 1),
-            rouge_n(text, gold_summary, 2),
-            rouge_l(text, gold_summary),
-        )
-    return out
+        texts[k] = "\n".join(extraction.selected_texts[i] for i in keep)
+    return dict(zip(texts, rouge_scores(texts.values(), gold_summary)))
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,16 @@
-"""ROUGE-1/2/L overlap metrics.
+"""ROUGE-1/2/L overlap metrics (Lin 2004).
 
 Serves two roles: the relevance oracle that turns a reference summary into
 per-utterance training labels, and the extraction-quality metric reported by
 the evaluation harness. No stemming and no stopword removal, so scores are
 deterministic and dependency-free; documented here so results stay comparable
 across runs.
+
+Every score comes from exact integer counts over token lists: _ngram_score
+on n-gram Counters and _lcs_score on the tokens, with a bit-parallel LCS. The string
+functions rouge_n and rouge_l tokenize each side once and call them;
+rouge_scores gives all three scores of many candidates against one reference,
+tokenizing the reference and counting its n-grams once.
 """
 
 from __future__ import annotations
@@ -22,7 +28,9 @@ __all__ = [
     "rouge_n",
     "lcs_length",
     "rouge_l",
+    "rouge_scores",
     "gold_relevance",
+    "gold_relevances",
     "rank_descending",
     "gold_order",
 ]
@@ -57,63 +65,107 @@ def ngram_counts(tokens: TokenSequence, n: int) -> Counter:
     """Multiset of contiguous n-grams; empty when the sequence is shorter than n."""
     if n < 1:
         raise ValidationError(f"n-gram order must be >= 1, got {n}")
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+    return Counter(zip(*(tokens[i:] for i in range(n))))
 
 
 def _overlap(candidate: Counter, reference: Counter) -> int:
-    return sum(min(count, reference[gram]) for gram, count in candidate.items())
+    """Clipped overlap of two n-gram multisets, walking the smaller one."""
+    if len(candidate) > len(reference):
+        candidate, reference = reference, candidate
+    get = reference.get
+    return sum(min(count, get(gram, 0)) for gram, count in candidate.items())
 
 
-def rouge_n(candidate: str, reference: str, n: int) -> RougeScore:
-    """Clipped n-gram overlap; zero denominators yield zero scores."""
-    cand = ngram_counts(tokenize(candidate), n)
-    ref = ngram_counts(tokenize(reference), n)
-    overlap = _overlap(cand, ref)
-    cand_total = sum(cand.values())
-    ref_total = sum(ref.values())
+def _ngram_score(cand_counts: Counter, ref_counts: Counter) -> RougeScore:
+    """ROUGE-N from the two n-gram multisets; zero denominators yield zero scores."""
+    overlap = _overlap(cand_counts, ref_counts)
+    cand_total = sum(cand_counts.values())
+    ref_total = sum(ref_counts.values())
     precision = overlap / cand_total if cand_total else 0.0
     recall = overlap / ref_total if ref_total else 0.0
     return RougeScore.from_pr(precision, recall)
 
 
+def rouge_n(candidate: str, reference: str, n: int) -> RougeScore:
+    """Clipped n-gram overlap; zero denominators yield zero scores."""
+    return _ngram_score(
+        ngram_counts(tokenize(candidate), n), ngram_counts(tokenize(reference), n)
+    )
+
+
 def lcs_length(a: TokenSequence, b: TokenSequence) -> int:
-    """Longest common subsequence length via the classic DP, O(len(a)*len(b))."""
-    if not a or not b:
-        return 0
-    # Single-row DP; prev holds the row for a[:i].
-    prev = [0] * (len(b) + 1)
-    for x in a:
-        curr = [0] * (len(b) + 1)
-        for j, y in enumerate(b, start=1):
-            if x == y:
-                curr[j] = prev[j - 1] + 1
-            else:
-                curr[j] = max(prev[j], curr[j - 1])
-        prev = curr
-    return prev[-1]
+    """Longest common subsequence length, bit-parallel (Allison & Dix 1986; Hyyrö 2004).
+
+    Bit j of a token's match mask is set where the shorter sequence holds that
+    token. Bit j of the state v is zero exactly where row i of the classic DP
+    table steps up by one at column j, so after the last token of the longer
+    sequence the zero bits count the LCS. Each token costs a few operations
+    on integers as wide as the shorter sequence; Python ints are unbounded,
+    so the result is exact at any length.
+    """
+    if len(a) < len(b):
+        a, b = b, a  # mask the shorter side
+    masks: dict[str, int] = {}
+    bit = 1
+    for token in b:
+        masks[token] = masks.get(token, 0) | bit
+        bit <<= 1
+    full = bit - 1
+    v = full
+    for token in a:
+        m = masks.get(token)
+        if m:
+            u = v & m
+            v = ((v + u) | (v - u)) & full
+    return len(b) - v.bit_count()
+
+
+def _lcs_score(cand_tokens: TokenSequence, ref_tokens: TokenSequence) -> RougeScore:
+    """ROUGE-L from the two token lists; zero denominators yield zero scores."""
+    lcs = lcs_length(cand_tokens, ref_tokens)
+    precision = lcs / len(cand_tokens) if cand_tokens else 0.0
+    recall = lcs / len(ref_tokens) if ref_tokens else 0.0
+    return RougeScore.from_pr(precision, recall)
 
 
 def rouge_l(candidate: str, reference: str) -> RougeScore:
     """LCS-based ROUGE; zero denominators yield zero scores."""
-    cand = tokenize(candidate)
+    return _lcs_score(tokenize(candidate), tokenize(reference))
+
+
+def rouge_scores(candidates, reference: str) -> list[tuple[RougeScore, RougeScore, RougeScore]]:
+    """(ROUGE-1, ROUGE-2, ROUGE-L) of each candidate text against one reference.
+
+    Each text is tokenized once, and the reference's n-gram counts are built
+    once for all candidates.
+    """
     ref = tokenize(reference)
-    lcs = lcs_length(cand, ref)
-    precision = lcs / len(cand) if cand else 0.0
-    recall = lcs / len(ref) if ref else 0.0
-    return RougeScore.from_pr(precision, recall)
+    ref1, ref2 = ngram_counts(ref, 1), ngram_counts(ref, 2)
+    scores = []
+    for text in candidates:
+        cand = tokenize(text)
+        scores.append(
+            (
+                _ngram_score(ngram_counts(cand, 1), ref1),
+                _ngram_score(ngram_counts(cand, 2), ref2),
+                _lcs_score(cand, ref),
+            )
+        )
+    return scores
 
 
-def gold_relevance(utterance: str, gold_summary: str) -> float:
-    """Relevance label: mean of ROUGE-1, ROUGE-2, and ROUGE-L F1 vs the summary.
+def gold_relevances(texts, gold_summary: str) -> list[float]:
+    """Relevance label of each utterance text: mean of its ROUGE-1, ROUGE-2 and ROUGE-L F1.
 
     The mean of the three reported metrics is the least arbitrary composite
     and matches how extractors are scored on all three downstream.
     """
-    return (
-        rouge_n(utterance, gold_summary, 1).f1
-        + rouge_n(utterance, gold_summary, 2).f1
-        + rouge_l(utterance, gold_summary).f1
-    ) / 3.0
+    return [(r1.f1 + r2.f1 + rl.f1) / 3.0 for r1, r2, rl in rouge_scores(texts, gold_summary)]
+
+
+def gold_relevance(utterance: str, gold_summary: str) -> float:
+    """Relevance label of one utterance text; see gold_relevances."""
+    return gold_relevances([utterance], gold_summary)[0]
 
 
 def rank_descending(values) -> list[int]:
@@ -130,5 +182,4 @@ def gold_order(utterances, gold_summary: str) -> list[int]:
     if len(utterances) == 0:
         raise ValidationError("gold_order requires at least one utterance")
     texts = [u if isinstance(u, str) else u.text for u in utterances]
-    relevances = [gold_relevance(t, gold_summary) for t in texts]
-    return rank_descending(relevances)
+    return rank_descending(gold_relevances(texts, gold_summary))

@@ -28,7 +28,8 @@ import numpy as np
 
 from .corpus import QueryInstance, Utterance
 from .errors import ValidationError
-from .rouge import rouge_n, tokenize
+from .fileio import atomic_open
+from .rouge import _ngram_score, ngram_counts, tokenize
 
 FEATURE_NAMES = (
     "query_unigram_f1",
@@ -115,7 +116,8 @@ def featurize(query: str, utterance: Utterance, stats: InstanceStats) -> np.ndar
     Features, in order: unigram-overlap F1 vs the query, bigram-overlap F1,
     tf-idf cosine similarity, utterance token count / 100 capped at 1,
     relative transcript position, fraction of query content words present,
-    and a speaker-mentioned-in-query indicator.
+    and a speaker-mentioned-in-query indicator. The query, the utterance
+    text and the speaker are each tokenized once.
     """
     query_tokens = tokenize(query)
     utt_tokens = tokenize(utterance.text)
@@ -137,8 +139,8 @@ def featurize(query: str, utterance: Utterance, stats: InstanceStats) -> np.ndar
 
     return np.array(
         [
-            rouge_n(utterance.text, query, 1).f1,
-            rouge_n(utterance.text, query, 2).f1,
+            _ngram_score(ngram_counts(utt_tokens, 1), ngram_counts(query_tokens, 1)).f1,
+            _ngram_score(ngram_counts(utt_tokens, 2), ngram_counts(query_tokens, 2)).f1,
             _tfidf_cosine(query_tokens, utt_tokens, stats),
             min(len(utt_tokens) / 100.0, 1.0),
             position,
@@ -292,7 +294,9 @@ def save_model(model: ScoringModel, path: str | Path) -> None:
     }
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    with atomic_open(path) as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
 
 
 def load_model(path: str | Path) -> ScoringModel:

@@ -28,7 +28,7 @@ from .ranklosses import (
     mse_simulator_loss,
     pairwise_margin_loss,
 )
-from .rouge import gold_relevance, rank_descending
+from .rouge import gold_relevances, rank_descending
 from .scorer import (
     FEATURE_DIM,
     InstanceStats,
@@ -111,7 +111,7 @@ def prepare_corpus(corpus: Corpus) -> list[PreparedInstance]:
         stats = InstanceStats.from_instance(instance)
         features = instance_features(instance, stats)
         relevance = np.array(
-            [gold_relevance(u.text, instance.gold_summary) for u in instance.utterances]
+            gold_relevances([u.text for u in instance.utterances], instance.gold_summary)
         )
         prepared.append(PreparedInstance(instance=instance, features=features, relevance=relevance))
     return prepared

@@ -2,11 +2,16 @@
 
 import inspect
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
+import uttrank
 from uttrank.cli import (
     EVAL_DEFAULTS,
     EXTRACT_DEFAULTS,
@@ -389,3 +394,26 @@ def test_gradcheck_passes_and_writes_json(tmp_path, capsys):
     payload = json.loads((out / "gradcheck.json").read_text())
     assert payload["mse"]["passed"] and payload["pairwise"]["passed"]
     assert dispatch(["gradcheck", "--objectives", "nonsense"]) == 1
+
+
+@pytest.mark.parametrize("points", ["0", "-3"])
+def test_gradcheck_rejects_too_few_points(tmp_path, capsys, points):
+    out = tmp_path / "gc"
+    assert dispatch(["gradcheck", "--points", points, "--out-dir", str(out)]) == 1
+    assert "points" in capsys.readouterr().err
+    assert not (out / "gradcheck.json").exists()
+
+
+# ------------------------------------------------------------- python -m
+
+def test_python_m_uttrank_runs_the_cli():
+    src = str(Path(uttrank.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "uttrank", "--version"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == f"uttrank {uttrank.__version__}"

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uttrank.corpus import (
     Corpus,
@@ -206,6 +208,16 @@ def test_partition_covers_disjointly_random_sizes():
             )
             flat.extend(s.member_indices)
         assert flat == sorted(flat)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(2, 300), data=st.data())
+def test_partition_covers_every_index_once(n, data):
+    sample_size = data.draw(st.integers(2, n + 5), label="sample_size")
+    samples = partition_samples(_make_n(n), sample_size)
+    seen = [i for s in samples for i in s.member_indices]
+    assert sorted(seen) == list(range(n))
+    assert all(2 <= len(s.member_indices) <= sample_size + 1 for s in samples)
 
 
 def _make_n(n):

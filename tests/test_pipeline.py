@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uttrank.corpus import QueryInstance, Utterance, partition_samples
 from uttrank.errors import ValidationError
@@ -211,6 +213,24 @@ def test_select_matches_greedy_oracle():
             continue
         assert list(result.selected_indices) == _greedy_oracle(order, inst, top_k, budget)
         assert len(result.generator_input.split()) <= budget
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 25),
+    tokens_per_utt=st.integers(1, 60),
+    top_k=st.integers(1, 12),
+    token_budget=st.integers(1, 400),
+    data=st.data(),
+)
+def test_select_generator_input_within_budget(n, tokens_per_utt, top_k, token_budget, data):
+    # includes budgets below the query's own 5 tokens and first candidates that overflow
+    inst = _instance(n, tokens_per_utt=tokens_per_utt)
+    order = data.draw(st.permutations(range(n)), label="order")
+    scores = np.arange(n, dtype=float)
+    result = select_topk(order, scores, inst, top_k=top_k, token_budget=token_budget)
+    assert len(result.generator_input.split()) <= token_budget
+    assert 1 <= len(result.selected_indices) <= top_k
 
 
 def test_generator_input_layout(tiny_instance):

@@ -5,16 +5,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uttrank.rouge import (
     RougeScore,
     gold_order,
     gold_relevance,
+    gold_relevances,
     lcs_length,
     ngram_counts,
     rank_descending,
     rouge_l,
     rouge_n,
+    rouge_scores,
     tokenize,
 )
 
@@ -137,6 +141,22 @@ def _lcs_brute_force(a, b):
     return best
 
 
+def _lcs_dp(a, b):
+    """Classic O(len(a) * len(b)) dynamic programme, one row at a time."""
+    if not a or not b:
+        return 0
+    prev = [0] * (len(b) + 1)
+    for x in a:
+        curr = [0] * (len(b) + 1)
+        for j, y in enumerate(b, start=1):
+            if x == y:
+                curr[j] = prev[j - 1] + 1
+            else:
+                curr[j] = max(prev[j], curr[j - 1])
+        prev = curr
+    return prev[-1]
+
+
 def test_lcs_fixture():
     assert lcs_length(list("abcde"), list("ace")) == 3
 
@@ -161,7 +181,9 @@ def test_lcs_exhaustive_short_pairs():
     ]
     for a in seqs:
         for b in seqs:
-            assert lcs_length(a, b) == _lcs_brute_force(a, b), (a, b)
+            want = _lcs_brute_force(a, b)
+            assert lcs_length(a, b) == want, (a, b)
+            assert _lcs_dp(a, b) == want, (a, b)
 
 
 def test_lcs_sampled_longer_pairs():
@@ -182,6 +204,33 @@ def test_lcs_bounded_by_shorter_side():
         a = list(rng.choice(alphabet, size=rng.integers(0, 10)))
         b = list(rng.choice(alphabet, size=rng.integers(0, 10)))
         assert lcs_length(a, b) <= min(len(a), len(b))
+
+
+# Two lists of 0 to 200 tokens over one alphabet of 1 to 50 symbols.
+_token_pairs = st.integers(1, 50).flatmap(
+    lambda k: st.tuples(*[st.lists(st.integers(0, k - 1).map("t{}".format), max_size=200)] * 2)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=_token_pairs)
+def test_lcs_equals_dp_oracle(pair):
+    a, b = pair
+    assert lcs_length(a, b) == _lcs_dp(a, b)
+    assert lcs_length(b, a) == _lcs_dp(a, b)
+
+
+@pytest.mark.parametrize("length", [29, 30, 31, 32, 63, 64, 65, 127, 128, 129, 200])
+def test_lcs_equals_dp_oracle_at_word_boundaries(length):
+    # one side exactly at, or one past, a 30- or 64-bit machine word
+    rng = np.random.default_rng(length)
+    for alphabet_size in (1, 2, 4, 50):
+        alphabet = [f"t{i}" for i in range(alphabet_size)]
+        for other in (1, length // 2, length, 200):
+            a = list(rng.choice(alphabet, size=length))
+            b = list(rng.choice(alphabet, size=other))
+            assert lcs_length(a, b) == _lcs_dp(a, b), (alphabet_size, length, other)
+            assert lcs_length(b, a) == _lcs_dp(a, b), (alphabet_size, length, other)
 
 
 # ----------------------------------------------------------------- rouge_l
@@ -237,6 +286,23 @@ def test_gold_relevance_hand_average():
     assert gold_relevance(utt, summ) == pytest.approx((r1 + r2 + rl) / 3)
 
 
+_WORDS = ["the", "cat", "Cat", "sat", "mat,", "on", "a", "dog's", "42", "ran"]
+_texts = st.lists(st.sampled_from(_WORDS), max_size=25).map(" ".join)
+
+
+@settings(max_examples=150, deadline=None)
+@given(candidates=st.lists(_texts, max_size=8), reference=_texts)
+def test_batch_scores_equal_per_text_scores(candidates, reference):
+    labels = gold_relevances(candidates, reference)
+    assert labels == [gold_relevance(text, reference) for text in candidates]
+    for text, label, triple in zip(candidates, labels, rouge_scores(candidates, reference)):
+        r1 = rouge_n(text, reference, 1)
+        r2 = rouge_n(text, reference, 2)
+        rl = rouge_l(text, reference)
+        assert triple == (r1, r2, rl)
+        assert label == (r1.f1 + r2.f1 + rl.f1) / 3
+
+
 # -------------------------------------------------------------- gold_order
 
 def test_rank_descending_fixture():
@@ -245,6 +311,15 @@ def test_rank_descending_fixture():
 
 def test_rank_descending_ties_keep_transcript_order():
     assert rank_descending([0.5, 0.5, 0.5, 0.5]) == [0, 1, 2, 3]
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.sampled_from([0.0, 0.25, 0.5, -1.0]), max_size=40))
+def test_rank_descending_stable_under_ties(values):
+    order = rank_descending(values)
+    assert sorted(order) == list(range(len(values)))
+    for i, j in zip(order, order[1:]):
+        assert values[i] > values[j] or (values[i] == values[j] and i < j)
 
 
 def test_gold_order_matches_sort_oracle():

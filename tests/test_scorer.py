@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 
 from uttrank.corpus import Utterance
 from uttrank.errors import ValidationError
+from uttrank.rouge import rouge_n, tokenize
 from uttrank.scorer import (
     FEATURE_DIM,
+    STOPWORDS,
     InstanceStats,
     apply_gradient,
     backward,
@@ -26,6 +28,7 @@ from uttrank.scorer import (
     save_model,
     score_utterances,
     set_flat_params,
+    _tfidf_cosine,
 )
 from tests.conftest import make_instance
 
@@ -87,6 +90,57 @@ def test_features_finite_and_bounded(tiny_corpus):
         assert np.all(np.isfinite(feats))
         assert np.all(feats[:, :6] >= 0.0) and np.all(feats[:, :6] <= 1.0)
         assert set(np.unique(feats[:, 6])) <= {0.0, 1.0}
+
+
+def _featurize_from_strings(query, utterance, stats):
+    """The feature formula as first written, with ROUGE-N taken on the raw strings."""
+    query_tokens = tokenize(query)
+    utt_tokens = tokenize(utterance.text)
+    utt_token_set = set(utt_tokens)
+
+    content = [t for t in dict.fromkeys(query_tokens) if t not in STOPWORDS]
+    if not content:
+        content = list(dict.fromkeys(query_tokens))
+    coverage = (
+        sum(1 for t in content if t in utt_token_set) / len(content) if content else 0.0
+    )
+
+    n = stats.n_utterances
+    position = utterance.index / (n - 1) if n > 1 else 0.0
+
+    speaker_tokens = tokenize(utterance.speaker)
+    query_token_set = set(query_tokens)
+    speaker_hit = 1.0 if any(t in query_token_set for t in speaker_tokens) else 0.0
+
+    return np.array(
+        [
+            rouge_n(utterance.text, query, 1).f1,
+            rouge_n(utterance.text, query, 2).f1,
+            _tfidf_cosine(query_tokens, utt_tokens, stats),
+            min(len(utt_tokens) / 100.0, 1.0),
+            position,
+            coverage,
+            speaker_hit,
+        ]
+    )
+
+
+_WORDS = ["the", "tabby", "Cat", "cat's", "sat", "on", "mat.", "alice", "Bob", "budget", "42"]
+_texts = st.lists(st.sampled_from(_WORDS), max_size=20).map(" ".join)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    query=_texts,
+    texts=st.lists(_texts, min_size=1, max_size=6),
+    speakers=st.lists(st.sampled_from(["alice", "bob", "Carol-Ann", ""]), min_size=1, max_size=3),
+)
+def test_featurize_equals_string_formula(query, texts, speakers):
+    instance = make_instance(query=query, texts=texts, speakers=speakers)
+    stats = _stats(instance)
+    for utterance in instance.utterances:
+        got = featurize(instance.query, utterance, stats)
+        assert got.tolist() == _featurize_from_strings(instance.query, utterance, stats).tolist()
 
 
 # ------------------------------------------------------------- init_model
