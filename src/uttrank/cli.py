@@ -46,13 +46,14 @@ from .evaluation import COMPARISON_OBJECTIVES, run_comparison
 from .fileio import atomic_open
 from .pipeline import PipelineConfig, run_pipeline
 from .rouge import rouge_scores
-from .scorer import FEATURE_DIM, init_model, load_model, save_model
+from .scorer import FEATURE_DIM, init_model, instance_features, load_model, save_model
 from .synthesis import synth_corpus, synth_splits
 from .trainer import (
     OBJECTIVES,
     TrainConfig,
     grad_check,
     make_objective_assembly,
+    prepare_corpus,
     train_baseline,
     train_ranker,
     train_reranker,
@@ -191,18 +192,18 @@ def _cmd_train(args: argparse.Namespace) -> int:
     train_config = _build(TrainConfig, cfg)
     pipeline_config = _build(PipelineConfig, cfg)
     out = _out_dir(args.out_dir)
-    corpus = load_corpus(args.corpus, split="train")
+    prepared = prepare_corpus(load_corpus(args.corpus, split="train"))
     inputs = [args.corpus]
     if train_config.objective == "pairwise":
-        result = train_ranker(corpus, train_config, pipeline_config)
+        result = train_ranker(prepared, train_config, pipeline_config)
     elif train_config.objective == "listwise":
         if not args.stage1_model:
             raise ValidationError("objective 'listwise' requires --stage1-model")
         stage1 = load_model(args.stage1_model)
         inputs.append(args.stage1_model)
-        result = train_reranker(corpus, stage1, train_config, pipeline_config)
+        result = train_reranker(prepared, stage1, train_config, pipeline_config)
     else:
-        result = train_baseline(corpus, train_config, pipeline_config)
+        result = train_baseline(prepared, train_config, pipeline_config)
 
     save_model(result.model, out / "model.json")
     with atomic_open(out / "loss_history.csv", newline="") as fh:
@@ -227,7 +228,8 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     reranker = load_model(args.reranker) if args.reranker else None
     with atomic_open(out / "extractions.jsonl") as fh:
         for instance in corpus:
-            result = run_pipeline(instance, model, reranker, pipeline_config)
+            features = instance_features(instance)  # extraction needs no gold labels
+            result = run_pipeline(instance, features, model, reranker, pipeline_config)
             record = {
                 "instance_id": result.instance_id,
                 "selected_indices": list(result.selected_indices),

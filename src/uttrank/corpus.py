@@ -28,7 +28,6 @@ __all__ = [
     "Utterance",
     "QueryInstance",
     "Corpus",
-    "RankSample",
     "load_corpus",
     "save_corpus",
     "partition_samples",
@@ -109,25 +108,6 @@ class Corpus:
         return iter(self.instances)
 
 
-@dataclass(frozen=True)
-class RankSample:
-    """A contiguous utterance group.
-
-    The unit of pairwise training: at least two members, so every sample
-    admits at least one comparison.
-    """
-
-    instance_id: str
-    member_indices: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.member_indices) < 2:
-            raise ValidationError(
-                f"sample for {self.instance_id!r} needs >= 2 members, "
-                f"got {len(self.member_indices)}"
-            )
-
-
 def _parse_instance(record: dict, path: str, line_number: int) -> QueryInstance:
     try:
         utterances = tuple(
@@ -199,8 +179,8 @@ def save_corpus(corpus: Corpus | Iterable[QueryInstance], path: str | Path) -> N
             fh.write(json.dumps(instance_to_record(instance), ensure_ascii=False) + "\n")
 
 
-def partition_samples(instance: QueryInstance, sample_size: int) -> list[RankSample]:
-    """Split an instance into contiguous ranking samples of sample_size utterances.
+def partition_samples(instance: QueryInstance, sample_size: int) -> list[range]:
+    """Split an instance into contiguous range windows of sample_size utterance indices.
 
     The final window may be smaller, but a trailing singleton is merged into
     the preceding window: a 1-element sample admits no pairwise comparison.
@@ -216,7 +196,4 @@ def partition_samples(instance: QueryInstance, sample_size: int) -> list[RankSam
     bounds = list(range(0, n, sample_size)) + [n]
     if bounds[-1] - bounds[-2] == 1:
         del bounds[-2]  # merge trailing singleton into the previous window
-    return [
-        RankSample(instance_id=instance.instance_id, member_indices=tuple(range(start, stop)))
-        for start, stop in zip(bounds, bounds[1:])
-    ]
+    return [range(start, stop) for start, stop in zip(bounds, bounds[1:])]

@@ -274,7 +274,6 @@ def _aggregate_row(objective: str, per_instance, k: int) -> ComparisonRow:
 
 def _train_models(
     objectives,
-    train_corpus: Corpus,
     prepared_train: list[PreparedInstance],
     train_config: TrainConfig,
     pipeline_config: PipelineConfig,
@@ -283,27 +282,20 @@ def _train_models(
     needs_stage1 = "pairwise" in objectives or "pairwise+listwise" in objectives
     if needs_stage1:
         stage1 = train_ranker(
-            train_corpus,
-            replace(train_config, objective="pairwise"),
-            pipeline_config,
-            prepared=prepared_train,
+            prepared_train, replace(train_config, objective="pairwise"), pipeline_config
         ).model
         models["pairwise"] = stage1
         if "pairwise+listwise" in objectives:
             models["pairwise+listwise"] = train_reranker(
-                train_corpus,
+                prepared_train,
                 stage1,
                 replace(train_config, objective="listwise"),
                 pipeline_config,
-                prepared=prepared_train,
             ).model
     for objective in ("bce", "mse"):
         if objective in objectives:
             models[objective] = train_baseline(
-                train_corpus,
-                replace(train_config, objective=objective),
-                pipeline_config,
-                prepared=prepared_train,
+                prepared_train, replace(train_config, objective=objective), pipeline_config
             ).model
     return models
 
@@ -313,7 +305,6 @@ def run_comparison(
     objectives=COMPARISON_OBJECTIVES,
     train_config: TrainConfig | None = None,
     pipeline_config: PipelineConfig | None = None,
-    prepared: dict[str, list[PreparedInstance]] | None = None,
 ) -> ComparisonReport:
     """Train each requested objective and score all extractors on the test split.
 
@@ -337,13 +328,10 @@ def run_comparison(
 
     train_config = train_config or TrainConfig()
     pipeline_config = pipeline_config or PipelineConfig()
-    prepared = prepared or {}
-    prepared_train = prepared.get("train") or prepare_corpus(corpora["train"])
-    prepared_test = prepared.get("test") or prepare_corpus(corpora["test"])
+    prepared_train = prepare_corpus(corpora["train"])
+    prepared_test = prepare_corpus(corpora["test"])
 
-    models = _train_models(
-        trainable, corpora["train"], prepared_train, train_config, pipeline_config
-    )
+    models = _train_models(trainable, prepared_train, train_config, pipeline_config)
 
     k = pipeline_config.top_k
     collected: dict[str, list] = {o: [] for o in trainable + list(REFERENCE_ROWS)}
@@ -359,12 +347,10 @@ def run_comparison(
             order = rank_descending(scores.tolist())
             if objective == "pairwise+listwise":
                 extraction = run_pipeline(
-                    instance, models["pairwise"], model, pipeline_config, features=prep.features
+                    instance, prep.features, models["pairwise"], model, pipeline_config
                 )
             elif objective == "pairwise":
-                extraction = run_pipeline(
-                    instance, model, None, pipeline_config, features=prep.features
-                )
+                extraction = run_pipeline(instance, prep.features, model, None, pipeline_config)
             else:
                 extraction = select_topk(
                     order, scores, instance, pipeline_config.top_k, pipeline_config.token_budget

@@ -2,7 +2,9 @@
 
 Per-sample ranking, pooling of each sample's top utterances, an optional
 global listwise-trained re-ranking pass over the pool, greedy top-K selection
-under a token budget, and generator-input assembly.
+under a token budget, and generator-input assembly. Samples are range windows
+and the pool is a tuple of utterance indices; re-ranker training pools with
+the same stage1_pool. run_pipeline scores the feature matrix it is given.
 
 Selected utterances are emitted in transcript order (dialogue coherence for a
 downstream generator); rank order is recoverable from selection_scores. The
@@ -18,16 +20,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .corpus import QueryInstance, RankSample, partition_samples
+from .corpus import QueryInstance, partition_samples
 from .errors import ValidationError
-from .scorer import ScoringModel, instance_features, score_utterances
+from .scorer import ScoringModel, score_utterances
 
 __all__ = [
     "PipelineConfig",
-    "Candidate",
     "ExtractionResult",
     "stage1_rank",
     "pool_candidates",
+    "stage1_pool",
     "stage2_rerank",
     "select_topk",
     "run_pipeline",
@@ -57,16 +59,6 @@ class PipelineConfig:
 
 
 @dataclass(frozen=True)
-class Candidate:
-    """Pooled utterance with stage-1 provenance."""
-
-    index: int
-    sample_ordinal: int
-    stage1_rank: int
-    stage1_score: float
-
-
-@dataclass(frozen=True)
 class ExtractionResult:
     """Final selection for one instance.
 
@@ -91,45 +83,39 @@ def _order_by_score(indices, scores) -> tuple[int, ...]:
     return tuple(sorted(indices, key=lambda i: (-scores[i], i)))
 
 
-def stage1_rank(sample: RankSample, scores) -> tuple[int, ...]:
-    """Sample members sorted by predicted score descending, ties by position.
+def stage1_rank(window: range, scores) -> tuple[int, ...]:
+    """Window members sorted by predicted score descending, ties by position.
 
     scores is the per-utterance score array for the whole instance, so one
-    scoring pass serves every sample of that instance.
+    scoring pass serves every window of that instance.
     """
-    return _order_by_score(sample.member_indices, scores)
+    return _order_by_score(window, scores)
 
 
-def pool_candidates(ranked_samples, per_sample_top: int) -> tuple[Candidate, ...]:
-    """Union of each ranked sample's top members, deduplicated with provenance.
+def pool_candidates(stage1_orders, per_sample_top: int) -> tuple[int, ...]:
+    """Union of each window's top per_sample_top indices, in window then rank order.
 
-    ranked_samples holds (ordered member indices, member scores aligned to
-    utterance index) pairs per sample, as produced by stage1_rank.
+    An index that tops several orders is pooled once, where it first appears.
     """
-    pool: list[Candidate] = []
-    seen: set[int] = set()
-    for sample_ordinal, (order, scores) in enumerate(ranked_samples):
-        for rank, idx in enumerate(order[:per_sample_top]):
-            if idx in seen:
-                continue
-            seen.add(idx)
-            pool.append(
-                Candidate(
-                    index=idx,
-                    sample_ordinal=sample_ordinal,
-                    stage1_rank=rank,
-                    stage1_score=float(scores[idx]),
-                )
-            )
+    pool = dict.fromkeys(idx for order in stage1_orders for idx in order[:per_sample_top])
     return tuple(pool)
 
 
+def stage1_pool(
+    instance: QueryInstance, scores, config: PipelineConfig
+) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """Each window's stage-1 order under scores, and the candidate pool drawn from them."""
+    orders = tuple(
+        stage1_rank(window, scores) for window in partition_samples(instance, config.sample_size)
+    )
+    return orders, pool_candidates(orders, config.per_sample_top)
+
+
 def stage2_rerank(pool, scores) -> tuple[int, ...]:
-    """Global sort of the pooled utterances by re-ranker score."""
+    """Global sort of the pooled utterance indices by re-ranker score."""
     if not pool:
         raise ValidationError("cannot re-rank an empty candidate pool")
-    indices = [c.index if isinstance(c, Candidate) else int(c) for c in pool]
-    return _order_by_score(indices, scores)
+    return _order_by_score(pool, scores)
 
 
 def _format_line(utterance) -> str:
@@ -209,32 +195,25 @@ def select_topk(
 
 def run_pipeline(
     instance: QueryInstance,
+    features: np.ndarray,
     ranker: ScoringModel,
     reranker: ScoringModel | None,
     config: PipelineConfig,
-    features: np.ndarray | None = None,
 ) -> ExtractionResult:
     """Full extraction for one instance; deterministic given models and config.
 
-    With reranker None the pool is ordered by stage-1 scores (the ablation
-    path). features is the instance's feature matrix, computed here when not
-    given; both models score the same matrix.
+    features is the instance's feature matrix (scorer.instance_features),
+    which both models score. With reranker None the pool is ordered by
+    stage-1 scores (the ablation path).
     """
-    if features is None:
-        features = instance_features(instance)
-
-    samples = partition_samples(instance, config.sample_size)
-    ranker_scores = score_utterances(ranker, instance, features=features)
-    stage1_orders = tuple(stage1_rank(s, ranker_scores) for s in samples)
-    pool = pool_candidates(
-        [(order, ranker_scores) for order in stage1_orders], config.per_sample_top
-    )
+    ranker_scores = score_utterances(ranker, features)
+    stage1_orders, pool = stage1_pool(instance, ranker_scores, config)
 
     if reranker is None:
-        global_order = _order_by_score([c.index for c in pool], ranker_scores)
+        global_order = _order_by_score(pool, ranker_scores)
         selection_scores = ranker_scores
     else:
-        rerank_scores = score_utterances(reranker, instance, features=features)
+        rerank_scores = score_utterances(reranker, features)
         global_order = stage2_rerank(pool, rerank_scores)
         selection_scores = rerank_scores
 

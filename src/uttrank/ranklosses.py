@@ -30,7 +30,6 @@ from .rouge import rank_descending
 
 __all__ = [
     "LossResult",
-    "GoldOrder",
     "pairwise_margin_loss",
     "perm_prob",
     "topk_perm_prob",
@@ -47,19 +46,6 @@ class LossResult:
 
     value: float
     grad: np.ndarray
-
-
-@dataclass(frozen=True)
-class GoldOrder:
-    """Item positions sorted by gold relevance descending, with their scores."""
-
-    permutation: tuple[int, ...]
-    gold_scores: tuple[float, ...]
-
-    @staticmethod
-    def from_scores(gold_scores) -> "GoldOrder":
-        perm = tuple(rank_descending(list(gold_scores)))
-        return GoldOrder(permutation=perm, gold_scores=tuple(float(s) for s in gold_scores))
 
 
 def pairwise_margin_loss(scores, base_margin: float) -> LossResult:

@@ -9,8 +9,9 @@ across runs.
 Every score comes from exact integer counts over token lists: _ngram_score
 on n-gram Counters and _lcs_score on the tokens, with a bit-parallel LCS. The string
 functions rouge_n and rouge_l tokenize each side once and call them;
-rouge_scores gives all three scores of many candidates against one reference,
-tokenizing the reference and counting its n-grams once.
+token_rouge_scores gives all three scores of many candidate token lists
+against one reference, counting its n-grams once, and rouge_scores and the
+relevance labels call it.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
+from typing import Iterable
 
 from .errors import ValidationError
 
@@ -28,7 +30,9 @@ __all__ = [
     "rouge_n",
     "lcs_length",
     "rouge_l",
+    "token_rouge_scores",
     "rouge_scores",
+    "token_relevances",
     "gold_relevance",
     "gold_relevances",
     "rank_descending",
@@ -133,34 +137,42 @@ def rouge_l(candidate: str, reference: str) -> RougeScore:
     return _lcs_score(tokenize(candidate), tokenize(reference))
 
 
-def rouge_scores(candidates, reference: str) -> list[tuple[RougeScore, RougeScore, RougeScore]]:
-    """(ROUGE-1, ROUGE-2, ROUGE-L) of each candidate text against one reference.
+def token_rouge_scores(
+    candidates: Iterable[TokenSequence], reference: TokenSequence
+) -> list[tuple[RougeScore, RougeScore, RougeScore]]:
+    """(ROUGE-1, ROUGE-2, ROUGE-L) of each candidate token list against one reference.
 
-    Each text is tokenized once, and the reference's n-gram counts are built
-    once for all candidates.
+    The reference's n-gram counts are built once for all candidates.
     """
-    ref = tokenize(reference)
-    ref1, ref2 = ngram_counts(ref, 1), ngram_counts(ref, 2)
-    scores = []
-    for text in candidates:
-        cand = tokenize(text)
-        scores.append(
-            (
-                _ngram_score(ngram_counts(cand, 1), ref1),
-                _ngram_score(ngram_counts(cand, 2), ref2),
-                _lcs_score(cand, ref),
-            )
+    ref1, ref2 = ngram_counts(reference, 1), ngram_counts(reference, 2)
+    return [
+        (
+            _ngram_score(ngram_counts(cand, 1), ref1),
+            _ngram_score(ngram_counts(cand, 2), ref2),
+            _lcs_score(cand, reference),
         )
-    return scores
+        for cand in candidates
+    ]
 
 
-def gold_relevances(texts, gold_summary: str) -> list[float]:
-    """Relevance label of each utterance text: mean of its ROUGE-1, ROUGE-2 and ROUGE-L F1.
+def rouge_scores(candidates, reference: str) -> list[tuple[RougeScore, RougeScore, RougeScore]]:
+    """(ROUGE-1, ROUGE-2, ROUGE-L) of each candidate text against one reference text."""
+    return token_rouge_scores((tokenize(text) for text in candidates), tokenize(reference))
+
+
+def token_relevances(candidates: Iterable[TokenSequence], gold_summary: TokenSequence) -> list[float]:
+    """Relevance label of each utterance token list: mean of its ROUGE-1, ROUGE-2 and ROUGE-L F1.
 
     The mean of the three reported metrics is the least arbitrary composite
     and matches how extractors are scored on all three downstream.
     """
-    return [(r1.f1 + r2.f1 + rl.f1) / 3.0 for r1, r2, rl in rouge_scores(texts, gold_summary)]
+    scores = token_rouge_scores(candidates, gold_summary)
+    return [(r1.f1 + r2.f1 + rl.f1) / 3.0 for r1, r2, rl in scores]
+
+
+def gold_relevances(texts, gold_summary: str) -> list[float]:
+    """Relevance label of each utterance text; see token_relevances."""
+    return token_relevances((tokenize(text) for text in texts), tokenize(gold_summary))
 
 
 def gold_relevance(utterance: str, gold_summary: str) -> float:

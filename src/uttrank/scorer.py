@@ -1,5 +1,9 @@
 """Differentiable query-relevance scoring.
 
+InstanceStats.from_instance tokenizes an instance's texts once and builds what
+every feature row reads; instance_features builds the whole matrix from it, and
+featurize one row with the same row code.
+
 A small feed-forward model over hand-built (query, utterance) features stands
 in for a pretrained cross-encoder: the ranking losses are agnostic to the
 scorer, so every trainable objective stays exercisable at desk scale. Hidden
@@ -12,8 +16,8 @@ activations and the vector of upstream score gradients and returns one
 parameter gradient summed over the rows. Call backward with the model that
 ran the forward pass, before any update is applied to it.
 
-forward and featurize are read-only and safe to call concurrently; parameter
-updates are single-writer.
+forward and the feature functions are read-only and safe to call
+concurrently; parameter updates are single-writer.
 """
 
 from __future__ import annotations
@@ -77,85 +81,137 @@ __all__ = [
 ]
 
 
+def _idf(n_utterances: int, doc_freq: int) -> float:
+    return math.log((1 + n_utterances) / (1 + doc_freq)) + 1.0
+
+
+@dataclass(frozen=True)
+class _QueryTerms:
+    """What every feature row reads of a query.
+
+    counts is the token Counter, whose keys are the token set; content lists
+    the distinct non-stopword tokens.
+    """
+
+    counts: Counter
+    bigrams: Counter
+    content: list[str]
+
+    @staticmethod
+    def from_text(query: str) -> "_QueryTerms":
+        tokens = tokenize(query)
+        counts = Counter(tokens)
+        # A query of stopwords only falls back to all of its tokens.
+        content = [t for t in counts if t not in STOPWORDS] or list(counts)
+        return _QueryTerms(counts=counts, bigrams=ngram_counts(tokens, 2), content=content)
+
+
 @dataclass(frozen=True)
 class InstanceStats:
-    """Per-instance corpus statistics consumed by featurize."""
+    """An instance's texts, each tokenized once, and what its feature rows read.
+
+    Holds the query terms, the utterance and speaker tokens, and the smoothed
+    idf of every token they hold. Built per use: prepared instances keep only
+    the feature matrix.
+    """
 
     n_utterances: int
-    doc_freq: Counter
+    idf_table: dict[str, float]
+    query: _QueryTerms
+    utterance_tokens: tuple[list[str], ...]
+    speaker_tokens: tuple[list[str], ...]
 
     @staticmethod
     def from_instance(instance: QueryInstance) -> "InstanceStats":
-        df: Counter = Counter()
-        for u in instance.utterances:
-            df.update(set(tokenize(u.text)))
-        return InstanceStats(n_utterances=len(instance.utterances), doc_freq=df)
+        utterance_tokens = tuple(tokenize(u.text) for u in instance.utterances)
+        n = len(utterance_tokens)
+        doc_freq: Counter = Counter()
+        for tokens in utterance_tokens:
+            doc_freq.update(set(tokens))
+        query = _QueryTerms.from_text(instance.query)
+        return InstanceStats(
+            n_utterances=n,
+            idf_table={t: _idf(n, doc_freq[t]) for t in [*doc_freq, *query.counts]},
+            query=query,
+            utterance_tokens=utterance_tokens,
+            speaker_tokens=tuple(tokenize(u.speaker) for u in instance.utterances),
+        )
 
     def idf(self, token: str) -> float:
-        return math.log((1 + self.n_utterances) / (1 + self.doc_freq[token])) + 1.0
+        """Smoothed idf; a token no utterance holds has document frequency 0."""
+        if token in self.idf_table:
+            return self.idf_table[token]
+        return _idf(self.n_utterances, 0)
 
 
-def _tfidf_cosine(query_tokens: list[str], utt_tokens: list[str], stats: InstanceStats) -> float:
-    qc = Counter(query_tokens)
-    uc = Counter(utt_tokens)
+def _feature_row(
+    query: _QueryTerms,
+    index: int,
+    utt_tokens: list[str],
+    speaker_tokens: list[str],
+    stats: InstanceStats,
+) -> list[float]:
+    """The features of one utterance, in FEATURE_NAMES order."""
+    counts = Counter(utt_tokens)
+    idf = stats.idf
+    # tf-idf cosine (Salton & Buckley 1988), walking the query in token order.
     dot = 0.0
-    for token, q_count in qc.items():
-        if token in uc:
-            w = stats.idf(token)
-            dot += (q_count * w) * (uc[token] * w)
+    for token, q_count in query.counts.items():
+        if token in counts:
+            w = idf(token)
+            dot += (q_count * w) * (counts[token] * w)
     if dot == 0.0:
-        return 0.0
-    qn = math.sqrt(sum((c * stats.idf(t)) ** 2 for t, c in qc.items()))
-    un = math.sqrt(sum((c * stats.idf(t)) ** 2 for t, c in uc.items()))
-    return dot / (qn * un)
+        cosine = 0.0
+    else:
+        qn = math.sqrt(sum((c * idf(t)) ** 2 for t, c in query.counts.items()))
+        un = math.sqrt(sum((c * idf(t)) ** 2 for t, c in counts.items()))
+        cosine = dot / (qn * un)
+    n = stats.n_utterances
+    content = query.content
+    return [
+        _ngram_score(counts, query.counts).f1,
+        _ngram_score(ngram_counts(utt_tokens, 2), query.bigrams).f1,
+        cosine,
+        min(len(utt_tokens) / 100.0, 1.0),
+        index / (n - 1) if n > 1 else 0.0,
+        sum(1 for t in content if t in counts) / len(content) if content else 0.0,
+        1.0 if any(t in query.counts for t in speaker_tokens) else 0.0,
+    ]
 
 
 def featurize(query: str, utterance: Utterance, stats: InstanceStats) -> np.ndarray:
-    """Fixed-order feature vector for one (query, utterance) pair.
+    """Feature vector of one (query, utterance) pair against an instance's statistics.
 
     Features, in order: unigram-overlap F1 vs the query, bigram-overlap F1,
     tf-idf cosine similarity, utterance token count / 100 capped at 1,
     relative transcript position, fraction of query content words present,
-    and a speaker-mentioned-in-query indicator. The query, the utterance
-    text and the speaker are each tokenized once.
+    and a speaker-mentioned-in-query indicator. Tokenizes only its own
+    arguments; instance_features computes the same rows from stats.
     """
-    query_tokens = tokenize(query)
-    utt_tokens = tokenize(utterance.text)
-    utt_token_set = set(utt_tokens)
-
-    content = [t for t in dict.fromkeys(query_tokens) if t not in STOPWORDS]
-    if not content:
-        content = list(dict.fromkeys(query_tokens))
-    coverage = (
-        sum(1 for t in content if t in utt_token_set) / len(content) if content else 0.0
+    row = _feature_row(
+        _QueryTerms.from_text(query),
+        utterance.index,
+        tokenize(utterance.text),
+        tokenize(utterance.speaker),
+        stats,
     )
-
-    n = stats.n_utterances
-    position = utterance.index / (n - 1) if n > 1 else 0.0
-
-    speaker_tokens = tokenize(utterance.speaker)
-    query_token_set = set(query_tokens)
-    speaker_hit = 1.0 if any(t in query_token_set for t in speaker_tokens) else 0.0
-
-    return np.array(
-        [
-            _ngram_score(ngram_counts(utt_tokens, 1), ngram_counts(query_tokens, 1)).f1,
-            _ngram_score(ngram_counts(utt_tokens, 2), ngram_counts(query_tokens, 2)).f1,
-            _tfidf_cosine(query_tokens, utt_tokens, stats),
-            min(len(utt_tokens) / 100.0, 1.0),
-            position,
-            coverage,
-            speaker_hit,
-        ],
-        dtype=np.float64,
-    )
+    return np.array(row, dtype=np.float64)
 
 
 def instance_features(instance: QueryInstance, stats: InstanceStats | None = None) -> np.ndarray:
-    """Feature matrix (n_utterances, FEATURE_DIM) for one instance."""
+    """Feature matrix (n_utterances, FEATURE_DIM) of one instance, a featurize row per utterance.
+
+    The rows read the tokens in stats, built here when not given.
+    """
     if stats is None:
         stats = InstanceStats.from_instance(instance)
-    return np.stack([featurize(instance.query, u, stats) for u in instance.utterances])
+    rows = [
+        _feature_row(stats.query, u.index, tokens, speaker, stats)
+        for u, tokens, speaker in zip(
+            instance.utterances, stats.utterance_tokens, stats.speaker_tokens
+        )
+    ]
+    return np.array(rows, dtype=np.float64)
 
 
 @dataclass
@@ -232,14 +288,8 @@ def backward(
     return ParameterGradient(weights=weights[::-1], biases=biases[::-1])
 
 
-def score_utterances(
-    model: ScoringModel,
-    instance: QueryInstance,
-    features: np.ndarray | None = None,
-) -> np.ndarray:
-    """Model score per utterance, aligned with transcript indices."""
-    if features is None:
-        features = instance_features(instance)
+def score_utterances(model: ScoringModel, features: np.ndarray) -> np.ndarray:
+    """Model score per row of an instance's feature matrix, aligned with transcript indices."""
     return forward(model, features)[0]
 
 

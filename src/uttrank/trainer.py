@@ -1,5 +1,8 @@
 """Training loops for the ranking objectives, plus the gradient checker.
 
+prepare_corpus tokenizes each instance once for its features and gold labels;
+every train_* function takes the prepared instances first.
+
 Plain gradient descent with no optimizer state: every run is a pure function
 of (corpus, config, seed) and repeated runs produce bit-identical models.
 Pairwise updates happen once per sample (the loss is defined over all pairs
@@ -20,7 +23,7 @@ import numpy as np
 
 from .corpus import Corpus, QueryInstance, partition_samples
 from .errors import ValidationError
-from .pipeline import PipelineConfig, pool_candidates, stage1_rank
+from .pipeline import PipelineConfig, stage1_pool
 from .ranklosses import (
     LossResult,
     bce_locator_loss,
@@ -28,7 +31,7 @@ from .ranklosses import (
     mse_simulator_loss,
     pairwise_margin_loss,
 )
-from .rouge import gold_relevances, rank_descending
+from .rouge import rank_descending, token_relevances, tokenize
 from .scorer import (
     FEATURE_DIM,
     InstanceStats,
@@ -106,13 +109,13 @@ class PreparedInstance:
 
 
 def prepare_corpus(corpus: Corpus) -> list[PreparedInstance]:
+    """Features and gold labels of every instance, both from the tokens of one InstanceStats."""
     prepared = []
     for instance in corpus:
         stats = InstanceStats.from_instance(instance)
         features = instance_features(instance, stats)
-        relevance = np.array(
-            gold_relevances([u.text for u in instance.utterances], instance.gold_summary)
-        )
+        gold = tokenize(instance.gold_summary)
+        relevance = np.array(token_relevances(stats.utterance_tokens, gold))
         prepared.append(PreparedInstance(instance=instance, features=features, relevance=relevance))
     return prepared
 
@@ -192,25 +195,33 @@ def make_objective_assembly(
     raise ValidationError(f"unknown objective {objective!r}")
 
 
+@np.errstate(over="raise", invalid="raise")
 def _run_epochs(
     model: ScoringModel,
     units: list[LossAssembly],
     config: TrainConfig,
 ) -> TrainResult:
-    """Gradient descent over the units; raises on a non-finite loss or parameter."""
+    """Gradient descent over the units.
+
+    Raises at the first floating-point overflow or invalid value, and on a
+    non-finite loss or parameter.
+    """
     rng = np.random.default_rng(config.seed)
     history = []
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(len(units)) if config.shuffle else np.arange(len(units))
         total = 0.0
         for u in order:
-            value, pgrad = units[u].value_and_grad(model)
-            if not math.isfinite(value):
+            try:
+                value, pgrad = units[u].value_and_grad(model)
+                if not math.isfinite(value):
+                    raise FloatingPointError(f"loss {value}")
+                apply_gradient(model, pgrad, config.learning_rate)
+            except FloatingPointError as exc:
                 raise ValidationError(
-                    f"training diverged: loss {value} at epoch {epoch}, unit {u}; "
+                    f"training diverged: {exc} at epoch {epoch}, unit {u}; "
                     "lower the learning rate"
-                )
-            apply_gradient(model, pgrad, config.learning_rate)
+                ) from exc
             total += value
         if not np.isfinite(flat_params(model)).all():
             raise ValidationError(
@@ -223,7 +234,6 @@ def _run_epochs(
 
 def _sample_units(
     prepared: list[PreparedInstance],
-    objective: str,
     config: TrainConfig,
     pipeline_config: PipelineConfig,
 ) -> list[LossAssembly]:
@@ -233,15 +243,15 @@ def _sample_units(
         if n < 2:
             logger.warning("skipping instance %s: fewer than 2 utterances", prep.instance.instance_id)
             continue
-        if objective == "bce":
+        if config.objective == "bce":
             targets_all = locator_labels(prep, config.locator_positives, config.locator_use_spans)
         else:
             targets_all = prep.relevance
-        for sample in partition_samples(prep.instance, pipeline_config.sample_size):
-            members = list(sample.member_indices)
+        for window in partition_samples(prep.instance, pipeline_config.sample_size):
+            members = list(window)
             units.append(
                 make_objective_assembly(
-                    objective,
+                    config.objective,
                     prep.features[members],
                     targets_all[members],
                     base_margin=config.base_margin,
@@ -250,77 +260,72 @@ def _sample_units(
     return units
 
 
+def _train_scorer(
+    prepared: list[PreparedInstance],
+    config: TrainConfig,
+    pipeline_config: PipelineConfig | None,
+) -> TrainResult:
+    units = _sample_units(prepared, config, pipeline_config or PipelineConfig())
+    if not units:
+        raise ValidationError("corpus yields no trainable samples")
+    model = init_model((FEATURE_DIM, *config.hidden_dims, 1), config.seed)
+    return _run_epochs(model, units, config)
+
+
 def train_ranker(
-    corpus: Corpus,
+    prepared: list[PreparedInstance],
     config: TrainConfig,
     pipeline_config: PipelineConfig | None = None,
-    prepared: list[PreparedInstance] | None = None,
 ) -> TrainResult:
     """Train the stage-1 ranker with the pairwise margin objective."""
     if config.objective != "pairwise":
         raise ValidationError(f"train_ranker expects objective 'pairwise', got {config.objective!r}")
-    pipeline_config = pipeline_config or PipelineConfig()
-    prepared = prepared if prepared is not None else prepare_corpus(corpus)
-    units = _sample_units(prepared, "pairwise", config, pipeline_config)
-    if not units:
-        raise ValidationError("corpus yields no trainable samples")
-    model = init_model((FEATURE_DIM, *config.hidden_dims, 1), config.seed)
-    return _run_epochs(model, units, config)
+    return _train_scorer(prepared, config, pipeline_config)
 
 
 def train_baseline(
-    corpus: Corpus,
+    prepared: list[PreparedInstance],
     config: TrainConfig,
     pipeline_config: PipelineConfig | None = None,
-    prepared: list[PreparedInstance] | None = None,
 ) -> TrainResult:
     """Train a locator (bce) or simulator (mse) baseline scorer."""
     if config.objective not in ("bce", "mse"):
         raise ValidationError(f"train_baseline expects 'bce' or 'mse', got {config.objective!r}")
-    pipeline_config = pipeline_config or PipelineConfig()
-    prepared = prepared if prepared is not None else prepare_corpus(corpus)
-    units = _sample_units(prepared, config.objective, config, pipeline_config)
-    if not units:
-        raise ValidationError("corpus yields no trainable samples")
-    model = init_model((FEATURE_DIM, *config.hidden_dims, 1), config.seed)
-    return _run_epochs(model, units, config)
+    return _train_scorer(prepared, config, pipeline_config)
 
 
 def train_reranker(
-    corpus: Corpus,
+    prepared: list[PreparedInstance],
     stage1_model: ScoringModel,
     config: TrainConfig,
     pipeline_config: PipelineConfig | None = None,
-    prepared: list[PreparedInstance] | None = None,
 ) -> TrainResult:
     """Train the global re-ranker on pooled stage-1 candidates.
 
-    Stage 1 is frozen: pools are fixed before the epoch loop. Pools with
-    fewer than two members are skipped with a warning; a pool smaller than
-    the configured listwise k clamps k to the pool size.
+    Stage 1 is frozen: pools are fixed before the epoch loop, by the
+    pipeline's stage1_pool. Pools with fewer than two members are skipped
+    with a warning; a pool smaller than the configured listwise k clamps k
+    to the pool size.
     """
     if config.objective != "listwise":
         raise ValidationError(f"train_reranker expects objective 'listwise', got {config.objective!r}")
     pipeline_config = pipeline_config or PipelineConfig()
-    prepared = prepared if prepared is not None else prepare_corpus(corpus)
     units = []
     for prep in prepared:
         n = len(prep.instance.utterances)
         if n < 2:
             logger.warning("skipping instance %s: fewer than 2 utterances", prep.instance.instance_id)
             continue
-        samples = partition_samples(prep.instance, pipeline_config.sample_size)
         scores = forward(stage1_model, prep.features)[0]
-        ranked = [(stage1_rank(s, scores), scores) for s in samples]
-        pool = pool_candidates(ranked, pipeline_config.per_sample_top)
-        pool_idx = [c.index for c in pool]
-        if len(pool_idx) < 2:
+        _, pool = stage1_pool(prep.instance, scores, pipeline_config)
+        if len(pool) < 2:
             logger.warning(
                 "skipping instance %s: candidate pool has %d member(s)",
                 prep.instance.instance_id,
-                len(pool_idx),
+                len(pool),
             )
             continue
+        pool_idx = list(pool)
         units.append(
             make_objective_assembly(
                 "listwise",

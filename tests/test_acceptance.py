@@ -22,7 +22,7 @@ from uttrank.ranklosses import (
     topk_perm_prob,
 )
 from uttrank.rouge import lcs_length, rouge_n, tokenize
-from uttrank.scorer import FEATURE_DIM, forward, init_model, score_utterances
+from uttrank.scorer import FEATURE_DIM, forward, init_model, instance_features, score_utterances
 from uttrank.synthesis import synth_corpus, synth_splits
 from uttrank.trainer import (
     TrainConfig,
@@ -208,12 +208,12 @@ def test_criterion_05_rouge_fixtures_and_lcs(capsys):
 
 def test_criterion_06_planted_order_recovery(capsys, planted_seed7):
     """Mean held-out NDCG@10 ≥ 0.90 after default pairwise training, < 2 min."""
-    train, _, prep_train, prep_test = planted_seed7
+    _, _, prep_train, prep_test = planted_seed7
     start = time.perf_counter()
-    model = train_ranker(train, TrainConfig(), prepared=prep_train).model
+    model = train_ranker(prep_train, TrainConfig()).model
     gains = []
     for prep in prep_test:
-        scores = score_utterances(model, prep.instance, features=prep.features)
+        scores = score_utterances(model, prep.features)
         order = np.argsort(-scores, kind="stable").tolist()
         gains.append(ndcg_at_k(order, prep.relevance, 10))
     mean_ndcg = float(np.mean(gains))
@@ -226,25 +226,19 @@ def test_criterion_06_planted_order_recovery(capsys, planted_seed7):
 
 def test_criterion_07_reranking_ablation_direction(capsys, planted_seed7):
     """Re-ranked pipeline ≥ rerank-off on NDCG@10 and top-10 summary overlap."""
-    train, _, prep_train, prep_test = planted_seed7
+    _, _, prep_train, prep_test = planted_seed7
     pcfg = PipelineConfig(sample_size=10, per_sample_top=3)
-    stage1 = train_ranker(
-        train, TrainConfig(seed=0), pipeline_config=pcfg, prepared=prep_train
-    ).model
+    stage1 = train_ranker(prep_train, TrainConfig(seed=0), pipeline_config=pcfg).model
     reranker = train_reranker(
-        train,
-        stage1,
-        TrainConfig(objective="listwise", seed=0),
-        pipeline_config=pcfg,
-        prepared=prep_train,
+        prep_train, stage1, TrainConfig(objective="listwise", seed=0), pipeline_config=pcfg
     ).model
 
     ndcg = {"on": [], "off": []}
     overlap = {"on": [], "off": []}
     for prep in prep_test:
         inst = prep.instance
-        full = run_pipeline(inst, stage1, reranker, pcfg)
-        bare = run_pipeline(inst, stage1, None, pcfg)
+        full = run_pipeline(inst, prep.features, stage1, reranker, pcfg)
+        bare = run_pipeline(inst, prep.features, stage1, None, pcfg)
         for key, ext in (("on", full), ("off", bare)):
             ndcg[key].append(ndcg_at_k(list(ext.selected_indices), prep.relevance, 10))
             overlap[key].append(topk_rouge_overlap(ext, inst.gold_summary)[10][0].f1)
@@ -264,17 +258,12 @@ def test_criterion_07_reranking_ablation_direction(capsys, planted_seed7):
 def test_criterion_08_objective_comparison_direction(capsys, tmp_path):
     """Pairwise mean tau ≥ MSE and ≥ BCE, averaged over training seeds 0..4."""
     corpora = synth_splits(200, 20, 50, n_utterances=40, noise=0.1, seed=7)
-    prepared = {
-        "train": prepare_corpus(corpora["train"]),
-        "test": prepare_corpus(corpora["test"]),
-    }
     taus = {"pairwise": [], "mse": [], "bce": []}
     for seed in range(5):
         report = run_comparison(
             corpora,
             objectives=("pairwise", "bce", "mse"),
             train_config=TrainConfig(seed=seed),
-            prepared=prepared,
         )
         (tmp_path / f"comparison_seed{seed}.json").write_text(
             report.to_json() + "\n", encoding="utf-8"
@@ -380,7 +369,10 @@ def test_criterion_10_budget_contract(capsys):
     worst = 0
     truncated = 0
     for i, instance in enumerate(corpus):
-        result = run_pipeline(instance, ranker, reranker if i % 2 == 0 else None, config)
+        features = instance_features(instance)
+        result = run_pipeline(
+            instance, features, ranker, reranker if i % 2 == 0 else None, config
+        )
         worst = max(worst, len(tokenize(result.generator_input)))
         truncated += result.truncated
     ok = worst <= 1024

@@ -276,6 +276,7 @@ def test_config_file_rejects_wrong_type(trained, tmp_path, capsys, key, value):
     assert not (out / "model.json").exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_train_aborts_on_divergence(trained, tmp_path, capsys):
     _, corpus, _ = trained
     out = tmp_path / "diverged"

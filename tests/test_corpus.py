@@ -155,26 +155,26 @@ def test_instance_requires_nonempty_summary():
 def test_partition_even_windows(tiny_instance):
     inst = tiny_instance  # 6 utterances
     samples = partition_samples(inst, 3)
-    assert [list(s.member_indices) for s in samples] == [[0, 1, 2], [3, 4, 5]]
+    assert [list(s) for s in samples] == [[0, 1, 2], [3, 4, 5]]
 
 
 def test_partition_10_by_4():
     inst = _make_n(10)
     samples = partition_samples(inst, 4)
-    assert [list(s.member_indices) for s in samples] == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
+    assert [list(s) for s in samples] == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
 
 
 def test_partition_trailing_singleton_merged():
     inst = _make_n(9)
     samples = partition_samples(inst, 4)
-    assert [list(s.member_indices) for s in samples] == [[0, 1, 2, 3], [4, 5, 6, 7, 8]]
-    assert all(len(s.member_indices) >= 2 for s in samples)
+    assert [list(s) for s in samples] == [[0, 1, 2, 3], [4, 5, 6, 7, 8]]
+    assert all(len(s) >= 2 for s in samples)
 
 
 def test_partition_single_window_when_small():
     inst = _make_n(4)
     samples = partition_samples(inst, 8)
-    assert [list(s.member_indices) for s in samples] == [[0, 1, 2, 3]]
+    assert [list(s) for s in samples] == [[0, 1, 2, 3]]
 
 
 def test_partition_rejects_tiny_instance():
@@ -196,17 +196,15 @@ def test_partition_covers_disjointly_random_sizes():
         inst = _make_n(n)
         sample_size = int(rng.integers(2, n + 6))
         samples = partition_samples(inst, sample_size)
-        seen = [i for s in samples for i in s.member_indices]
+        seen = [i for s in samples for i in s]
         assert sorted(seen) == list(range(n))
         assert len(set(seen)) == len(seen)
-        assert all(len(s.member_indices) >= 2 for s in samples)
+        assert all(len(s) >= 2 for s in samples)
         # windows are contiguous and in transcript order
         flat = []
         for s in samples:
-            assert list(s.member_indices) == list(
-                range(s.member_indices[0], s.member_indices[-1] + 1)
-            )
-            flat.extend(s.member_indices)
+            assert list(s) == list(range(s[0], s[-1] + 1))
+            flat.extend(s)
         assert flat == sorted(flat)
 
 
@@ -215,9 +213,9 @@ def test_partition_covers_disjointly_random_sizes():
 def test_partition_covers_every_index_once(n, data):
     sample_size = data.draw(st.integers(2, n + 5), label="sample_size")
     samples = partition_samples(_make_n(n), sample_size)
-    seen = [i for s in samples for i in s.member_indices]
+    seen = [i for s in samples for i in s]
     assert sorted(seen) == list(range(n))
-    assert all(2 <= len(s.member_indices) <= sample_size + 1 for s in samples)
+    assert all(2 <= len(s) <= sample_size + 1 for s in samples)
 
 
 def _make_n(n):

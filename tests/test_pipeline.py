@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from uttrank.corpus import QueryInstance, Utterance, partition_samples
 from uttrank.errors import ValidationError
 from uttrank.pipeline import (
-    Candidate,
     ExtractionResult,
     PipelineConfig,
     pool_candidates,
@@ -68,7 +67,7 @@ def test_stage1_negative_position_weight_gives_transcript_order():
     w = np.zeros(FEATURE_DIM)
     w[4] = -1.0  # read only the relative-position feature
     model = _linear_model(w)
-    scores = score_utterances(model, inst)
+    scores = score_utterances(model, instance_features(inst))
     samples = partition_samples(inst, 10)
     assert stage1_rank(samples[0], scores) == tuple(range(10))
 
@@ -81,7 +80,7 @@ def test_stage1_matches_argsort_oracle():
         scores = rng.normal(size=12)
         for sample in samples:
             got = stage1_rank(sample, scores)
-            members = list(sample.member_indices)
+            members = list(sample)
             want = tuple(sorted(members, key=lambda i: (-scores[i], i)))
             assert got == want
 
@@ -91,50 +90,41 @@ def test_stage1_matches_argsort_oracle():
 def test_pool_three_disjoint_samples():
     orders = [(0, 1, 2), (3, 4, 5), (6, 7, 8)]
     scores = np.arange(9, 0, -1, dtype=float)
-    pool = pool_candidates([(o, scores) for o in orders], per_sample_top=2)
-    assert [c.index for c in pool] == [0, 1, 3, 4, 6, 7]
-    assert [c.sample_ordinal for c in pool] == [0, 0, 1, 1, 2, 2]
-    assert [c.stage1_rank for c in pool] == [0, 1, 0, 1, 0, 1]
+    pool = pool_candidates(orders, per_sample_top=2)
+    assert pool == (0, 1, 3, 4, 6, 7)
 
 
 def test_pool_top_exceeds_sample_size():
     orders = [(2, 0, 1)]
-    scores = np.array([0.1, 0.0, 0.9])
-    pool = pool_candidates([(o, scores) for o in orders], per_sample_top=10)
-    assert [c.index for c in pool] == [2, 0, 1]
+    pool = pool_candidates(orders, per_sample_top=10)
+    assert pool == (2, 0, 1)
 
 
 def test_pool_single_sample():
     orders = [(5, 3, 4)]
-    scores = np.array([0, 0, 0, 0.5, 0.4, 0.9])
-    pool = pool_candidates([(o, scores) for o in orders], per_sample_top=2)
-    assert [c.index for c in pool] == [5, 3]
-    assert pool[0].stage1_score == pytest.approx(0.9)
+    pool = pool_candidates(orders, per_sample_top=2)
+    assert pool == (5, 3)
 
 
 def test_pool_deduplicates_overlapping_samples():
-    # same utterance surfacing in two samples keeps first provenance
+    # the same utterance surfacing in two samples is pooled once
     orders = [(1, 0), (1, 2)]
-    scores = np.array([0.2, 0.9, 0.1])
-    pool = pool_candidates([(o, scores) for o in orders], per_sample_top=1)
-    assert [c.index for c in pool] == [1]
-    assert pool[0].sample_ordinal == 0
+    pool = pool_candidates(orders, per_sample_top=1)
+    assert pool == (1,)
 
 
 # ----------------------------------------------------------- stage2_rerank
 
 def test_rerank_pool_of_one():
-    pool = (Candidate(index=4, sample_ordinal=0, stage1_rank=0, stage1_score=1.0),)
-    assert stage2_rerank(pool, np.zeros(5)) == (4,)
+    assert stage2_rerank((4,), np.zeros(5)) == (4,)
 
 
 def test_rerank_with_stage1_scores_preserves_relative_order():
     scores = np.array([0.5, 0.9, 0.1, 0.7])
     orders = [(1, 3), (0, 2)]
-    pool = pool_candidates([(o, scores) for o in orders], per_sample_top=2)
+    pool = pool_candidates(orders, per_sample_top=2)
     reranked = stage2_rerank(pool, scores)
-    members = [c.index for c in pool]
-    assert reranked == tuple(sorted(members, key=lambda i: (-scores[i], i)))
+    assert reranked == tuple(sorted(pool, key=lambda i: (-scores[i], i)))
 
 
 def test_rerank_matches_argsort_oracle():
@@ -142,10 +132,7 @@ def test_rerank_matches_argsort_oracle():
     for _ in range(20):
         n = int(rng.integers(1, 10))
         members = rng.permutation(12)[:n]
-        pool = tuple(
-            Candidate(index=int(i), sample_ordinal=0, stage1_rank=r, stage1_score=0.0)
-            for r, i in enumerate(members)
-        )
+        pool = tuple(int(i) for i in members)
         scores = rng.normal(size=12)
         got = stage2_rerank(pool, scores)
         want = tuple(sorted((int(i) for i in members), key=lambda i: (-scores[i], i)))
@@ -254,8 +241,9 @@ def test_pipeline_rerank_off_single_sample_is_plain_topk():
     inst = _instance(9)
     ranker, _ = _models()
     config = PipelineConfig(sample_size=16, top_k=4)
-    result = run_pipeline(inst, ranker, None, config)
-    scores = score_utterances(ranker, inst)
+    features = instance_features(inst)
+    result = run_pipeline(inst, features, ranker, None, config)
+    scores = score_utterances(ranker, features)
     want = sorted(range(9), key=lambda i: (-scores[i], i))[:4]
     assert sorted(result.selected_indices) == sorted(want)
 
@@ -263,16 +251,13 @@ def test_pipeline_rerank_off_single_sample_is_plain_topk():
 def test_pipeline_selection_subset_of_pool():
     inst = _instance(20)
     ranker, reranker = _models()
+    features = instance_features(inst)
     for rerank in (True, False):
         config = PipelineConfig(sample_size=5, per_sample_top=2, top_k=6)
-        result = run_pipeline(inst, ranker, reranker if rerank else None, config)
-        scores = score_utterances(ranker, inst)
+        result = run_pipeline(inst, features, ranker, reranker if rerank else None, config)
+        scores = score_utterances(ranker, features)
         samples = partition_samples(inst, 5)
-        pool = {
-            i
-            for s in samples
-            for i in sorted(s.member_indices, key=lambda j: (-scores[j], j))[:2]
-        }
+        pool = {i for s in samples for i in sorted(s, key=lambda j: (-scores[j], j))[:2]}
         assert set(result.selected_indices) <= pool
         assert set(result.global_order) == pool
 
@@ -281,8 +266,9 @@ def test_pipeline_deterministic():
     inst = _instance(15)
     ranker, reranker = _models()
     config = PipelineConfig(sample_size=4, per_sample_top=2, top_k=5)
-    a = run_pipeline(inst, ranker, reranker, config)
-    b = run_pipeline(inst, ranker, reranker, config)
+    features = instance_features(inst)
+    a = run_pipeline(inst, features, ranker, reranker, config)
+    b = run_pipeline(inst, features, ranker, reranker, config)
     assert a == b
 
 
@@ -292,11 +278,12 @@ def test_pipeline_invariant_under_increasing_score_transform():
     inst = _instance(18)
     ranker, reranker = _models(3, 4)
     config = PipelineConfig(sample_size=6, per_sample_top=3, top_k=5)
-    base = run_pipeline(inst, ranker, reranker, config)
+    features = instance_features(inst)
+    base = run_pipeline(inst, features, ranker, reranker, config)
     for model in (ranker, reranker):
         model.weights[-1] *= 2.5
         model.biases[-1] = model.biases[-1] * 2.5 + 0.7
-    transformed = run_pipeline(inst, ranker, reranker, config)
+    transformed = run_pipeline(inst, features, ranker, reranker, config)
     assert transformed.selected_indices == base.selected_indices
     assert transformed.global_order == base.global_order
     assert transformed.stage1_orders == base.stage1_orders
@@ -314,7 +301,7 @@ def test_pipeline_budget_holds_on_random_corpora():
             top_k=int(rng.integers(1, 12)),
             token_budget=int(rng.integers(64, 1200)),
         )
-        result = run_pipeline(inst, ranker, reranker, config)
+        result = run_pipeline(inst, instance_features(inst), ranker, reranker, config)
         if not result.truncated:
             assert len(result.generator_input.split()) <= config.token_budget
 

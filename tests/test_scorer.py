@@ -2,6 +2,7 @@
 
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -28,7 +29,6 @@ from uttrank.scorer import (
     save_model,
     score_utterances,
     set_flat_params,
-    _tfidf_cosine,
 )
 from tests.conftest import make_instance
 
@@ -92,6 +92,21 @@ def test_features_finite_and_bounded(tiny_corpus):
         assert set(np.unique(feats[:, 6])) <= {0.0, 1.0}
 
 
+def _tfidf_cosine(query_tokens: list[str], utt_tokens: list[str], stats: InstanceStats) -> float:
+    qc = Counter(query_tokens)
+    uc = Counter(utt_tokens)
+    dot = 0.0
+    for token, q_count in qc.items():
+        if token in uc:
+            w = stats.idf(token)
+            dot += (q_count * w) * (uc[token] * w)
+    if dot == 0.0:
+        return 0.0
+    qn = math.sqrt(sum((c * stats.idf(t)) ** 2 for t, c in qc.items()))
+    un = math.sqrt(sum((c * stats.idf(t)) ** 2 for t, c in uc.items()))
+    return dot / (qn * un)
+
+
 def _featurize_from_strings(query, utterance, stats):
     """The feature formula as first written, with ROUGE-N taken on the raw strings."""
     query_tokens = tokenize(query)
@@ -138,9 +153,15 @@ _texts = st.lists(st.sampled_from(_WORDS), max_size=20).map(" ".join)
 def test_featurize_equals_string_formula(query, texts, speakers):
     instance = make_instance(query=query, texts=texts, speakers=speakers)
     stats = _stats(instance)
-    for utterance in instance.utterances:
-        got = featurize(instance.query, utterance, stats)
-        assert got.tolist() == _featurize_from_strings(instance.query, utterance, stats).tolist()
+    n = len(instance.utterances)
+    for token in {t for text in texts + [query, "xylophone"] for t in tokenize(text)}:
+        df = sum(token in tokenize(u.text) for u in instance.utterances)
+        assert stats.idf(token) == math.log((1 + n) / (1 + df)) + 1.0
+    rows = instance_features(instance).tolist()
+    for utterance, row in zip(instance.utterances, rows):
+        want = _featurize_from_strings(instance.query, utterance, stats).tolist()
+        assert featurize(instance.query, utterance, stats).tolist() == want
+        assert row == want
 
 
 # ------------------------------------------------------------- init_model
@@ -417,7 +438,7 @@ def test_load_rejects_unreadable_file(tmp_path):
 
 def test_score_utterances_alignment(tiny_instance):
     model = init_model((FEATURE_DIM, 5, 1), seed=0)
-    scores = score_utterances(model, tiny_instance)
     feats = instance_features(tiny_instance)
+    scores = score_utterances(model, feats)
     for i, row in enumerate(feats):
         assert scores[i] == pytest.approx(forward(model, row[None, :])[0][0])

@@ -2,19 +2,24 @@
 
 import logging
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uttrank.corpus import Corpus, QueryInstance, Utterance
 from uttrank.errors import ValidationError
 from uttrank.pipeline import PipelineConfig
 from uttrank.ranklosses import LossResult
+from uttrank.rouge import gold_relevance
 from uttrank.scorer import (
     FEATURE_DIM,
     apply_gradient,
     flat_params,
     init_model,
+    instance_features,
     num_params,
 )
 from uttrank.synthesis import synth_corpus
@@ -29,12 +34,12 @@ from uttrank.trainer import (
     train_ranker,
     train_reranker,
 )
+from tests.conftest import make_instance
 
 
 @pytest.fixture(scope="module")
 def planted():
-    corpus = synth_corpus(40, n_utterances=20, seed=11)
-    return corpus, prepare_corpus(corpus)
+    return prepare_corpus(synth_corpus(40, n_utterances=20, seed=11))
 
 
 # -------------------------------------------------------------- TrainConfig
@@ -62,11 +67,43 @@ def test_zero_learning_rate_update_is_identity():
     assert np.array_equal(flat_params(model), before)
 
 
+# ------------------------------------------------------------ prepare_corpus
+
+_WORDS = ["the", "tabby", "Cat", "cat's", "sat", "on", "mat.", "alice", "Bob", "budget", "42"]
+_texts = st.lists(st.sampled_from(_WORDS), min_size=1, max_size=20).map(" ".join)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    meetings=st.lists(
+        st.tuples(_texts, st.lists(_texts, min_size=1, max_size=6), _texts), min_size=1, max_size=3
+    )
+)
+def test_prepared_instances_equal_string_oracles(meetings):
+    corpus = Corpus(
+        instances=tuple(
+            replace(
+                make_instance(f"inst-{i}", f"meet-{i}", query=query, texts=texts),
+                gold_summary=summary,
+            )
+            for i, (query, texts, summary) in enumerate(meetings)
+        ),
+        split="train",
+    )
+    prepared = prepare_corpus(corpus)
+    assert [prep.instance for prep in prepared] == list(corpus)
+    for prep in prepared:
+        inst = prep.instance
+        assert prep.features.tolist() == instance_features(inst).tolist()
+        assert prep.relevance.tolist() == [
+            gold_relevance(u.text, inst.gold_summary) for u in inst.utterances
+        ]
+
+
 # ----------------------------------------------------------- locator labels
 
 def test_locator_top_n_labels(planted):
-    _, prepared = planted
-    prep = prepared[0]
+    prep = planted[0]
     labels = locator_labels(prep, 5, use_spans=False)
     assert labels.sum() == 5
     ranked = np.argsort(-prep.relevance, kind="stable")
@@ -93,63 +130,55 @@ def test_locator_span_labels():
 # ------------------------------------------------------------- determinism
 
 def test_train_ranker_bit_identical(planted):
-    corpus, prepared = planted
+    prepared = planted
     cfg = TrainConfig(objective="pairwise", epochs=3, seed=5)
-    a = train_ranker(corpus, cfg, prepared=prepared)
-    b = train_ranker(corpus, cfg, prepared=prepared)
+    a = train_ranker(prepared, cfg)
+    b = train_ranker(prepared, cfg)
     assert np.array_equal(flat_params(a.model), flat_params(b.model))
     assert a.epoch_losses == b.epoch_losses
 
 
 def test_train_baseline_bit_identical(planted):
-    corpus, prepared = planted
+    prepared = planted
     for objective in ("bce", "mse"):
         cfg = TrainConfig(objective=objective, epochs=2, seed=9)
-        a = train_baseline(corpus, cfg, prepared=prepared)
-        b = train_baseline(corpus, cfg, prepared=prepared)
+        a = train_baseline(prepared, cfg)
+        b = train_baseline(prepared, cfg)
         assert np.array_equal(flat_params(a.model), flat_params(b.model))
 
 
 def test_train_reranker_bit_identical(planted):
-    corpus, prepared = planted
+    prepared = planted
     pcfg = PipelineConfig(sample_size=10, per_sample_top=3)
-    stage1 = train_ranker(
-        corpus, TrainConfig(epochs=2, seed=1), pipeline_config=pcfg, prepared=prepared
-    ).model
+    stage1 = train_ranker(prepared, TrainConfig(epochs=2, seed=1), pipeline_config=pcfg).model
     cfg = TrainConfig(objective="listwise", epochs=2, seed=4)
-    a = train_reranker(corpus, stage1, cfg, pipeline_config=pcfg, prepared=prepared)
-    b = train_reranker(corpus, stage1, cfg, pipeline_config=pcfg, prepared=prepared)
+    a = train_reranker(prepared, stage1, cfg, pipeline_config=pcfg)
+    b = train_reranker(prepared, stage1, cfg, pipeline_config=pcfg)
     assert np.array_equal(flat_params(a.model), flat_params(b.model))
 
 
 def test_different_seed_changes_model(planted):
-    corpus, prepared = planted
-    a = train_ranker(corpus, TrainConfig(epochs=1, seed=0), prepared=prepared)
-    b = train_ranker(corpus, TrainConfig(epochs=1, seed=1), prepared=prepared)
+    prepared = planted
+    a = train_ranker(prepared, TrainConfig(epochs=1, seed=0))
+    b = train_ranker(prepared, TrainConfig(epochs=1, seed=1))
     assert not np.array_equal(flat_params(a.model), flat_params(b.model))
 
 
 # ------------------------------------------------------------ loss descent
 
 def test_losses_drop_for_every_objective(planted):
-    corpus, prepared = planted
+    prepared = planted
     for objective in ("pairwise", "bce", "mse"):
         cfg = TrainConfig(objective=objective, epochs=10, seed=2)
         fn = train_ranker if objective == "pairwise" else train_baseline
-        res = fn(corpus, cfg, prepared=prepared)
+        res = fn(prepared, cfg)
         assert len(res.epoch_losses) == 10
         assert res.epoch_losses[9] < res.epoch_losses[0], objective
 
     pcfg = PipelineConfig(sample_size=10, per_sample_top=3)
-    stage1 = train_ranker(
-        corpus, TrainConfig(epochs=10, seed=2), pipeline_config=pcfg, prepared=prepared
-    ).model
+    stage1 = train_ranker(prepared, TrainConfig(epochs=10, seed=2), pipeline_config=pcfg).model
     res = train_reranker(
-        corpus,
-        stage1,
-        TrainConfig(objective="listwise", epochs=10, seed=2),
-        pipeline_config=pcfg,
-        prepared=prepared,
+        prepared, stage1, TrainConfig(objective="listwise", epochs=10, seed=2), pipeline_config=pcfg
     )
     assert res.epoch_losses[9] < res.epoch_losses[0]
 
@@ -168,7 +197,7 @@ def test_mse_constant_targets_nonincreasing_loss():
     )
     corpus = Corpus(instances=(inst,), split="train")
     cfg = TrainConfig(objective="mse", epochs=8, learning_rate=1e-3, seed=0)
-    res = train_baseline(corpus, cfg)
+    res = train_baseline(prepare_corpus(corpus), cfg)
     assert all(b <= a + 1e-12 for a, b in zip(res.epoch_losses, res.epoch_losses[1:]))
 
 
@@ -198,16 +227,16 @@ def test_bce_separable_fixture_converges():
     cfg = TrainConfig(
         objective="bce", epochs=10, learning_rate=0.5, seed=0, locator_positives=4
     )
-    res = train_baseline(corpus, cfg)
+    res = train_baseline(prepare_corpus(corpus), cfg)
     assert res.epoch_losses[-1] < 0.1
 
 
 def test_trainer_rejects_wrong_objective(planted):
-    corpus, prepared = planted
+    prepared = planted
     with pytest.raises(ValidationError):
-        train_ranker(corpus, TrainConfig(objective="bce"), prepared=prepared)
+        train_ranker(prepared, TrainConfig(objective="bce"))
     with pytest.raises(ValidationError):
-        train_baseline(corpus, TrainConfig(objective="pairwise"), prepared=prepared)
+        train_baseline(prepared, TrainConfig(objective="pairwise"))
 
 
 def test_trainer_errors_on_corpus_without_pairs():
@@ -217,7 +246,7 @@ def test_trainer_errors_on_corpus_without_pairs():
     )
     corpus = Corpus(instances=(inst,), split="train")
     with pytest.raises(ValidationError):
-        train_ranker(corpus, TrainConfig())
+        train_ranker(prepare_corpus(corpus), TrainConfig())
 
 
 # ------------------------------------------------------------ train_reranker
@@ -263,44 +292,34 @@ def test_reranker_skips_tiny_pools_and_errors_when_none_remain(caplog):
     stage1 = init_model((FEATURE_DIM, 1), seed=0)
     with caplog.at_level(logging.WARNING, logger="uttrank.trainer"):
         with pytest.raises(ValidationError):
-            train_reranker(corpus, stage1, TrainConfig(objective="listwise"), pipeline_config=pcfg)
+            train_reranker(
+                prepare_corpus(corpus), stage1, TrainConfig(objective="listwise"), pipeline_config=pcfg
+            )
     assert any("pool" in rec.message for rec in caplog.records)
 
 
 def test_reranker_beats_stage1_scores_on_pools(planted):
     # held-out pool ordering: the re-ranker's refined sort should not lose to
     # raw stage-1 scores on the same candidate pools
-    from uttrank.corpus import partition_samples
     from uttrank.evaluation import ndcg_at_k
-    from uttrank.pipeline import pool_candidates, stage1_rank, stage2_rerank
+    from uttrank.pipeline import stage1_pool, stage2_rerank
     from uttrank.scorer import score_utterances
     from uttrank.synthesis import synth_splits
 
     splits = synth_splits(120, 0, 30, n_utterances=40, seed=7)
-    train, test = splits["train"], splits["test"]
-    prep_train = prepare_corpus(train)
-    prep_test = prepare_corpus(test)
+    prep_train = prepare_corpus(splits["train"])
+    prep_test = prepare_corpus(splits["test"])
     pcfg = PipelineConfig(sample_size=10, per_sample_top=3)
-    stage1 = train_ranker(
-        train, TrainConfig(seed=0), pipeline_config=pcfg, prepared=prep_train
-    ).model
+    stage1 = train_ranker(prep_train, TrainConfig(seed=0), pipeline_config=pcfg).model
     reranker = train_reranker(
-        train,
-        stage1,
-        TrainConfig(objective="listwise", seed=0),
-        pipeline_config=pcfg,
-        prepared=prep_train,
+        prep_train, stage1, TrainConfig(objective="listwise", seed=0), pipeline_config=pcfg
     ).model
 
     gains_rerank, gains_stage1 = [], []
     for prep in prep_test:
-        inst = prep.instance
-        s1 = score_utterances(stage1, inst)
-        samples = partition_samples(inst, pcfg.sample_size)
-        pool = pool_candidates(
-            [(stage1_rank(s, s1), s1) for s in samples], pcfg.per_sample_top
-        )
-        s2 = score_utterances(reranker, inst)
+        s1 = score_utterances(stage1, prep.features)
+        _, pool = stage1_pool(prep.instance, s1, pcfg)
+        s2 = score_utterances(reranker, prep.features)
         order_rerank = stage2_rerank(pool, s2)
         order_stage1 = stage2_rerank(pool, s1)
         gains_rerank.append(ndcg_at_k(list(order_rerank), prep.relevance, 10))
