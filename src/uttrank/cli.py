@@ -419,7 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--seed", type=int)
     train.add_argument("--base-margin", type=float)
     train.add_argument("--listwise-k", type=int)
-    train.add_argument("--shuffle", action=argparse.BooleanOptionalAction, default=None)
     train.add_argument("--hidden-dims", type=_dims, help="comma-separated hidden layer sizes")
     train.add_argument("--locator-positives", type=int)
     train.add_argument(

@@ -184,16 +184,13 @@ def partition_samples(instance: QueryInstance, sample_size: int) -> list[range]:
 
     The final window may be smaller, but a trailing singleton is merged into
     the preceding window: a 1-element sample admits no pairwise comparison.
-    Windows are disjoint and cover every utterance index.
+    A one-utterance instance is the single window range(0, 1). Windows are
+    disjoint and cover every utterance index.
     """
     n = len(instance.utterances)
     if sample_size < 2:
         raise ValidationError(f"sample_size must be >= 2, got {sample_size}")
-    if n < 2:
-        raise ValidationError(
-            f"instance {instance.instance_id!r} has {n} utterances; need >= 2"
-        )
     bounds = list(range(0, n, sample_size)) + [n]
-    if bounds[-1] - bounds[-2] == 1:
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
         del bounds[-2]  # merge trailing singleton into the previous window
     return [range(start, stop) for start, stop in zip(bounds, bounds[1:])]

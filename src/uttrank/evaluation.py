@@ -1,11 +1,12 @@
 """Ranking-quality metrics and the extractor comparison harness.
 
-Two metric families are reported side by side. Rank-level metrics (NDCG,
-Kendall tau, Spearman) score the ordering a model produces against the
-ROUGE-derived relevance labels and isolate what the scorer itself controls.
-Overlap metrics run each extractor end to end and measure the selected
-utterances against the reference summary, which also depends on budgets,
-pooling, and selection. Conclusions drawn from the harness are directional:
+Two metric families are reported side by side. Rank-level metrics (NDCG and
+Kendall tau) score the order of all utterances by a row's score vector
+against the ROUGE-derived relevance labels and isolate what the scorer
+itself controls. Overlap metrics measure the selected utterances against the
+reference summary, which also depends on budgets, pooling, and selection.
+Every row, trained or reference, is one score vector per test instance (see
+run_comparison). Conclusions drawn from the harness are directional:
 absolute numbers depend on corpus scale and scorer capacity.
 """
 
@@ -41,7 +42,6 @@ __all__ = [
     "RankingMetrics",
     "ndcg_at_k",
     "kendall_tau",
-    "spearman",
     "ranking_metrics",
     "topk_rouge_overlap",
     "ComparisonRow",
@@ -57,7 +57,6 @@ class RankingMetrics:
 
     ndcg_at_k: float
     kendall_tau: float
-    spearman: float
 
 
 def ndcg_at_k(predicted_order, relevance, k: int) -> float:
@@ -109,19 +108,6 @@ def kendall_tau(order_a, order_b) -> float:
     return (total - 2 * discordant) / total
 
 
-def spearman(order_a, order_b) -> float:
-    """Rank correlation 1 − 6·Σd² / (n(n²−1)) between two orderings."""
-    order_a, order_b = list(order_a), list(order_b)
-    _check_same_elements(order_a, order_b)
-    n = len(order_a)
-    if n < 2:
-        return 1.0
-    pos_a = _positions(order_a)
-    pos_b = _positions(order_b)
-    d2 = sum((pos_a[x] - pos_b[x]) ** 2 for x in order_a)
-    return 1.0 - 6.0 * d2 / (n * (n * n - 1))
-
-
 def ranking_metrics(predicted_order, relevance, k: int) -> RankingMetrics:
     """All rank metrics of one ordering against the relevance-ideal ordering."""
     items = list(predicted_order)
@@ -130,7 +116,6 @@ def ranking_metrics(predicted_order, relevance, k: int) -> RankingMetrics:
     return RankingMetrics(
         ndcg_at_k=ndcg_at_k(items, relevance, k),
         kendall_tau=kendall_tau(items, gold),
-        spearman=spearman(items, gold),
     )
 
 
@@ -242,19 +227,21 @@ def corpus_digest(corpora: dict[str, Corpus]) -> str:
     return h.hexdigest()[:16]
 
 
-def _aggregate_row(objective: str, per_instance, k: int) -> ComparisonRow:
-    """per_instance holds (extraction, predicted_order, relevance, summary)."""
+def _aggregate_row(
+    objective: str, prepared: list[PreparedInstance], selections, k: int
+) -> ComparisonRow:
+    """selections holds one (extraction, predicted_order) pair per prepared instance."""
     r5 = np.zeros(3)
     r10 = np.zeros(3)
     ndcgs, taus = [], []
-    for extraction, order, relevance, summary in per_instance:
-        overlap = topk_rouge_overlap(extraction, summary, (5, 10))
+    for prep, (extraction, order) in zip(prepared, selections, strict=True):
+        overlap = topk_rouge_overlap(extraction, prep.instance.gold_summary, (5, 10))
         r5 += [s.f1 for s in overlap[5]]
         r10 += [s.f1 for s in overlap[10]]
-        metrics = ranking_metrics(order, relevance, k)
+        metrics = ranking_metrics(order, prep.relevance, k)
         ndcgs.append(metrics.ndcg_at_k)
         taus.append(metrics.kendall_tau)
-    n = len(per_instance)
+    n = len(prepared)
     r5 /= n
     r10 /= n
     return ComparisonRow(
@@ -303,18 +290,20 @@ def _train_models(
 def run_comparison(
     corpora: dict[str, Corpus],
     objectives=COMPARISON_OBJECTIVES,
-    train_config: TrainConfig | None = None,
-    pipeline_config: PipelineConfig | None = None,
+    train_config: TrainConfig = TrainConfig(),
+    pipeline_config: PipelineConfig = PipelineConfig(),
 ) -> ComparisonReport:
     """Train each requested objective and score all extractors on the test split.
 
     Every trainable objective starts from the same seed and scorer
-    architecture. Baseline (bce/mse) extractors rank all utterances with
-    their single model; the pairwise row pools per-sample top candidates and
-    orders them by stage-1 score; pairwise+listwise re-ranks that pool. Gold
-    and lead reference rows are always included. Rank metrics are computed
-    over the full utterance ordering each row's final model induces, so every
-    row's tau and NDCG are measured on the same element set.
+    architecture. Each row ranks all utterances by its score vector: the
+    row's model scores, lead's descending transcript positions, or gold's
+    relevance labels. The pairwise row selects from the pool of per-window
+    top candidates ordered by stage-1 score, pairwise+listwise re-ranks that
+    pool, and every other row selects greedily in its own order. Gold and
+    lead reference rows are always included. Rank metrics are computed over
+    the full utterance ordering, so every row's tau and NDCG are measured on
+    the same element set.
     """
     for split in REQUIRED_SPLITS:
         if split not in corpora:
@@ -326,60 +315,36 @@ def run_comparison(
         raise ValidationError(f"unknown objectives {unknown}, expected among {sorted(known)}")
     trainable = [o for o in COMPARISON_OBJECTIVES if o in requested]
 
-    train_config = train_config or TrainConfig()
-    pipeline_config = pipeline_config or PipelineConfig()
     prepared_train = prepare_corpus(corpora["train"])
     prepared_test = prepare_corpus(corpora["test"])
 
     models = _train_models(trainable, prepared_train, train_config, pipeline_config)
 
     k = pipeline_config.top_k
-    collected: dict[str, list] = {o: [] for o in trainable + list(REFERENCE_ROWS)}
+    selections: dict[str, list] = {o: [] for o in trainable + list(REFERENCE_ROWS)}
     for prep in prepared_test:
         instance = prep.instance
-        relevance = prep.relevance
-        summary = instance.gold_summary
         n = len(instance.utterances)
-
-        for objective in trainable:
-            model = models[objective]
-            scores = forward(model, prep.features)[0]
+        row_scores = {o: forward(models[o], prep.features)[0] for o in trainable}
+        row_scores["lead"] = np.arange(n, 0, -1, dtype=float)
+        row_scores["gold"] = prep.relevance
+        for objective, scores in row_scores.items():
             order = rank_descending(scores.tolist())
             if objective == "pairwise+listwise":
                 extraction = run_pipeline(
-                    instance, prep.features, models["pairwise"], model, pipeline_config
+                    instance, prep.features, models["pairwise"], models[objective], pipeline_config
                 )
             elif objective == "pairwise":
-                extraction = run_pipeline(instance, prep.features, model, None, pipeline_config)
-            else:
-                extraction = select_topk(
-                    order, scores, instance, pipeline_config.top_k, pipeline_config.token_budget
+                extraction = run_pipeline(
+                    instance, prep.features, models[objective], None, pipeline_config
                 )
-            collected[objective].append((extraction, order, relevance, summary))
-
-        lead_order = list(range(n))
-        lead_scores = np.array([float(n - i) for i in range(n)])
-        collected["lead"].append(
-            (
-                select_topk(lead_order, lead_scores, instance, k, pipeline_config.token_budget),
-                lead_order,
-                relevance,
-                summary,
-            )
-        )
-        gold_order = rank_descending(relevance.tolist())
-        collected["gold"].append(
-            (
-                select_topk(gold_order, relevance, instance, k, pipeline_config.token_budget),
-                gold_order,
-                relevance,
-                summary,
-            )
-        )
+            else:
+                extraction = select_topk(order, scores, instance, k, pipeline_config.token_budget)
+            selections[objective].append((extraction, order))
 
     rows = tuple(
-        _aggregate_row(objective, collected[objective], k)
-        for objective in trainable + list(REFERENCE_ROWS)
+        _aggregate_row(objective, prepared_test, selections[objective], k)
+        for objective in selections
     )
     config_snapshot = {
         "train": asdict(train_config),

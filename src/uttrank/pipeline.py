@@ -139,7 +139,6 @@ def select_topk(
     query_tokens = len(instance.query.split())
     selected: list[int] = []
     used = query_tokens
-    truncated = False
     for idx in global_order:
         if len(selected) >= top_k:
             break
@@ -149,34 +148,21 @@ def select_topk(
         selected.append(idx)
         used += line_tokens
 
-    lines = None
-    if not selected and len(global_order) > 0:
+    truncated = not selected and len(global_order) > 0
+    if truncated:
         # Degenerate: the first candidate alone exceeds the budget.
         first = global_order[0]
         selected = [first]
-        truncated = True
         keep = max(1, token_budget - query_tokens)
         line = " ".join(_format_line(utterances[first]).split()[:keep])
+        generator_input = "\n".join([instance.query, "", line])
         if query_tokens >= token_budget:
             # Even the query overflows; cut the assembled text outright.
-            text = "\n".join([instance.query, "", line])
-            text = " ".join(text.split()[:token_budget])
-            return ExtractionResult(
-                instance_id=instance.instance_id,
-                selected_indices=(first,),
-                selection_scores=(float(scores[first]),),
-                selected_texts=(utterances[first].text,),
-                generator_input=text,
-                stage1_orders=(),
-                global_order=tuple(global_order),
-                truncated=True,
-            )
-        lines = [instance.query, "", line]
-
-    selected.sort()  # transcript order for the generator input
-    if lines is None:
+            generator_input = " ".join(generator_input.split()[:token_budget])
+    else:
+        selected.sort()  # transcript order for the generator input
         lines = [instance.query, ""] + [_format_line(utterances[i]) for i in selected]
-    generator_input = "\n".join(lines)
+        generator_input = "\n".join(lines)
     if len(generator_input.split()) > token_budget:
         raise ValidationError(
             f"instance {instance.instance_id!r}: generator input exceeds budget"

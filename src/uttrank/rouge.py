@@ -34,9 +34,7 @@ __all__ = [
     "rouge_scores",
     "token_relevances",
     "gold_relevance",
-    "gold_relevances",
     "rank_descending",
-    "gold_order",
 ]
 
 # Lowercase alphanumeric runs; underscore is punctuation here, digits kept.
@@ -170,28 +168,11 @@ def token_relevances(candidates: Iterable[TokenSequence], gold_summary: TokenSeq
     return [(r1.f1 + r2.f1 + rl.f1) / 3.0 for r1, r2, rl in scores]
 
 
-def gold_relevances(texts, gold_summary: str) -> list[float]:
-    """Relevance label of each utterance text; see token_relevances."""
-    return token_relevances((tokenize(text) for text in texts), tokenize(gold_summary))
-
-
 def gold_relevance(utterance: str, gold_summary: str) -> float:
-    """Relevance label of one utterance text; see gold_relevances."""
-    return gold_relevances([utterance], gold_summary)[0]
+    """Relevance label of one utterance text; see token_relevances."""
+    return token_relevances([tokenize(utterance)], tokenize(gold_summary))[0]
 
 
 def rank_descending(values) -> list[int]:
     """Indices sorted by value descending, ties broken by ascending position."""
     return sorted(range(len(values)), key=lambda i: (-values[i], i))
-
-
-def gold_order(utterances, gold_summary: str) -> list[int]:
-    """Permutation of utterance positions by gold relevance, best first.
-
-    Accepts raw strings or objects with a .text attribute. Ties fall back to
-    transcript position so training labels are deterministic.
-    """
-    if len(utterances) == 0:
-        raise ValidationError("gold_order requires at least one utterance")
-    texts = [u if isinstance(u, str) else u.text for u in utterances]
-    return rank_descending(gold_relevances(texts, gold_summary))

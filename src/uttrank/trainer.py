@@ -3,13 +3,18 @@
 prepare_corpus tokenizes each instance once for its features and gold labels;
 every train_* function takes the prepared instances first.
 
+All four objectives train through one loop. train_ranker (pairwise) and
+train_baseline (bce, mse) make one unit per partition_samples window;
+train_reranker (listwise) makes one unit per stage-1 candidate pool, with
+the stage-1 ranker frozen. Each checks its objective and names its row
+groups; _train builds the units, skips instances with fewer than two
+utterances, and runs the epochs.
+
 Plain gradient descent with no optimizer state: every run is a pure function
 of (corpus, config, seed) and repeated runs produce bit-identical models.
-Pairwise updates happen once per sample (the loss is defined over all pairs
-of one sample); the re-ranker is trained after, and conditioned on, a frozen
-stage-1 ranker. The default learning rate targets this feature-model regime;
-the 5e-6 rate appropriate for a large pretrained cross-encoder is selectable
-through TrainConfig.
+Each epoch visits every unit once, in a seeded random order. The default
+learning rate targets this feature-model regime; the 5e-6 rate appropriate
+for a large pretrained cross-encoder is selectable through TrainConfig.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -77,7 +82,6 @@ class TrainConfig:
     seed: int = 0
     base_margin: float = 0.01
     listwise_k: int = 10
-    shuffle: bool = True
     hidden_dims: tuple[int, ...] = (16,)
     locator_positives: int = 8
     locator_use_spans: bool = False
@@ -168,12 +172,13 @@ def make_objective_assembly(
     targets: np.ndarray,
     *,
     base_margin: float = TrainConfig.base_margin,
-    listwise_k: int | None = None,
+    listwise_k: int = TrainConfig.listwise_k,
 ) -> LossAssembly:
     """Bind one objective's loss to concrete feature rows and targets.
 
     For the pairwise objective the rows are re-indexed into gold order
-    (targets descending) before the margin loss sees their scores.
+    (targets descending) before the margin loss sees their scores. The
+    listwise k is clamped to the number of rows.
     """
     targets = np.asarray(targets, dtype=np.float64)
     if objective == "pairwise":
@@ -183,7 +188,7 @@ def make_objective_assembly(
             loss_fn=lambda s: pairwise_margin_loss(s, base_margin),
         )
     if objective == "listwise":
-        k = min(listwise_k or len(targets), len(targets))
+        k = min(listwise_k, len(targets))
         return LossAssembly(
             feature_rows=features,
             loss_fn=lambda s: kl_listwise_loss(s, targets, k),
@@ -201,7 +206,7 @@ def _run_epochs(
     units: list[LossAssembly],
     config: TrainConfig,
 ) -> TrainResult:
-    """Gradient descent over the units.
+    """Gradient descent over the units, in a fresh seeded order every epoch.
 
     Raises at the first floating-point overflow or invalid value, and on a
     non-finite loss or parameter.
@@ -209,9 +214,8 @@ def _run_epochs(
     rng = np.random.default_rng(config.seed)
     history = []
     for epoch in range(1, config.epochs + 1):
-        order = rng.permutation(len(units)) if config.shuffle else np.arange(len(units))
         total = 0.0
-        for u in order:
+        for u in rng.permutation(len(units)):
             try:
                 value, pgrad = units[u].value_and_grad(model)
                 if not math.isfinite(value):
@@ -232,11 +236,16 @@ def _run_epochs(
     return TrainResult(model=model, epoch_losses=history)
 
 
-def _sample_units(
+def _train(
     prepared: list[PreparedInstance],
     config: TrainConfig,
-    pipeline_config: PipelineConfig,
-) -> list[LossAssembly]:
+    groups: Callable[[PreparedInstance], Sequence[Sequence[int]]],
+) -> TrainResult:
+    """Train a fresh model on one unit per row group of every instance.
+
+    groups(prep) gives the utterance indices of each unit of one instance.
+    Instances with fewer than two utterances are skipped with a warning.
+    """
     units = []
     for prep in prepared:
         n = len(prep.instance.utterances)
@@ -247,25 +256,17 @@ def _sample_units(
             targets_all = locator_labels(prep, config.locator_positives, config.locator_use_spans)
         else:
             targets_all = prep.relevance
-        for window in partition_samples(prep.instance, pipeline_config.sample_size):
-            members = list(window)
+        for group in groups(prep):
+            members = list(group)
             units.append(
                 make_objective_assembly(
                     config.objective,
                     prep.features[members],
                     targets_all[members],
                     base_margin=config.base_margin,
+                    listwise_k=config.listwise_k,
                 )
             )
-    return units
-
-
-def _train_scorer(
-    prepared: list[PreparedInstance],
-    config: TrainConfig,
-    pipeline_config: PipelineConfig | None,
-) -> TrainResult:
-    units = _sample_units(prepared, config, pipeline_config or PipelineConfig())
     if not units:
         raise ValidationError("corpus yields no trainable samples")
     model = init_model((FEATURE_DIM, *config.hidden_dims, 1), config.seed)
@@ -275,47 +276,45 @@ def _train_scorer(
 def train_ranker(
     prepared: list[PreparedInstance],
     config: TrainConfig,
-    pipeline_config: PipelineConfig | None = None,
+    pipeline_config: PipelineConfig = PipelineConfig(),
 ) -> TrainResult:
-    """Train the stage-1 ranker with the pairwise margin objective."""
+    """Train the stage-1 ranker with the pairwise margin objective, one unit per window."""
     if config.objective != "pairwise":
         raise ValidationError(f"train_ranker expects objective 'pairwise', got {config.objective!r}")
-    return _train_scorer(prepared, config, pipeline_config)
+    return _train(
+        prepared, config, lambda prep: partition_samples(prep.instance, pipeline_config.sample_size)
+    )
 
 
 def train_baseline(
     prepared: list[PreparedInstance],
     config: TrainConfig,
-    pipeline_config: PipelineConfig | None = None,
+    pipeline_config: PipelineConfig = PipelineConfig(),
 ) -> TrainResult:
-    """Train a locator (bce) or simulator (mse) baseline scorer."""
+    """Train a locator (bce) or simulator (mse) baseline scorer, one unit per window."""
     if config.objective not in ("bce", "mse"):
         raise ValidationError(f"train_baseline expects 'bce' or 'mse', got {config.objective!r}")
-    return _train_scorer(prepared, config, pipeline_config)
+    return _train(
+        prepared, config, lambda prep: partition_samples(prep.instance, pipeline_config.sample_size)
+    )
 
 
 def train_reranker(
     prepared: list[PreparedInstance],
     stage1_model: ScoringModel,
     config: TrainConfig,
-    pipeline_config: PipelineConfig | None = None,
+    pipeline_config: PipelineConfig = PipelineConfig(),
 ) -> TrainResult:
-    """Train the global re-ranker on pooled stage-1 candidates.
+    """Train the global re-ranker on pooled stage-1 candidates, one unit per pool.
 
     Stage 1 is frozen: pools are fixed before the epoch loop, by the
     pipeline's stage1_pool. Pools with fewer than two members are skipped
-    with a warning; a pool smaller than the configured listwise k clamps k
-    to the pool size.
+    with a warning.
     """
     if config.objective != "listwise":
         raise ValidationError(f"train_reranker expects objective 'listwise', got {config.objective!r}")
-    pipeline_config = pipeline_config or PipelineConfig()
-    units = []
-    for prep in prepared:
-        n = len(prep.instance.utterances)
-        if n < 2:
-            logger.warning("skipping instance %s: fewer than 2 utterances", prep.instance.instance_id)
-            continue
+
+    def pools(prep: PreparedInstance) -> list[tuple[int, ...]]:
         scores = forward(stage1_model, prep.features)[0]
         _, pool = stage1_pool(prep.instance, scores, pipeline_config)
         if len(pool) < 2:
@@ -324,20 +323,10 @@ def train_reranker(
                 prep.instance.instance_id,
                 len(pool),
             )
-            continue
-        pool_idx = list(pool)
-        units.append(
-            make_objective_assembly(
-                "listwise",
-                prep.features[pool_idx],
-                prep.relevance[pool_idx],
-                listwise_k=min(config.listwise_k, len(pool_idx)),
-            )
-        )
-    if not units:
-        raise ValidationError("corpus yields no candidate pools with >= 2 members")
-    model = init_model((FEATURE_DIM, *config.hidden_dims, 1), config.seed)
-    return _run_epochs(model, units, config)
+            return []
+        return [pool]
+
+    return _train(prepared, config, pools)
 
 
 @dataclass(frozen=True)

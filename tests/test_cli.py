@@ -21,6 +21,7 @@ from uttrank.cli import (
     build_parser,
     dispatch,
 )
+from uttrank.corpus import QueryInstance, Utterance, save_corpus
 from uttrank.pipeline import PipelineConfig
 from uttrank.synthesis import synth_corpus
 from uttrank.trainer import TrainConfig, grad_check
@@ -202,6 +203,23 @@ def test_extract_rejects_non_finite_checkpoint(trained, capsys):
     assert not (out / "extractions.jsonl").exists()
 
 
+@pytest.mark.parametrize("with_reranker", [False, True])
+def test_extract_selects_the_only_utterance(trained, tmp_path, with_reranker):
+    _, _, model_dir = trained
+    utterance = Utterance(meeting_id="m", index=0, speaker="host", text="the only utterance")
+    instance = QueryInstance(
+        instance_id="one", meeting_id="m", query="what was said",
+        utterances=(utterance,), gold_summary="the utterance",
+    )
+    save_corpus([instance], tmp_path / "one.jsonl")
+    model = str(model_dir / "model.json")
+    argv = ["extract", "--corpus", str(tmp_path / "one.jsonl"), "--model", model]
+    argv += ["--reranker", model] if with_reranker else []
+    assert dispatch([*argv, "--out-dir", str(tmp_path / "out")]) == 0
+    record = json.loads((tmp_path / "out" / "extractions.jsonl").read_text())
+    assert record["selected_indices"] == [0]
+
+
 def test_reranker_training_flow(trained):
     tmp, corpus, model_dir = trained
     out = tmp / "reranker"
@@ -261,7 +279,13 @@ def test_config_file_rejects_unknown_keys(trained):
 
 @pytest.mark.parametrize(
     "key, value",
-    [("epochs", "x"), ("hidden_dims", "a,b"), ("epochs", None), ("sample_size", 1.5), ("shuffle", "false")],
+    [
+        ("epochs", "x"),
+        ("hidden_dims", "a,b"),
+        ("epochs", None),
+        ("sample_size", 1.5),
+        ("locator_use_spans", "false"),
+    ],
 )
 def test_config_file_rejects_wrong_type(trained, tmp_path, capsys, key, value):
     _, corpus, _ = trained

@@ -178,9 +178,8 @@ def test_partition_single_window_when_small():
 
 
 def test_partition_rejects_tiny_instance():
-    inst = _make_n(1)
-    with pytest.raises(ValidationError):
-        partition_samples(inst, 4)
+    # a one-utterance instance is one window; training skips it, extraction selects it
+    assert partition_samples(_make_n(1), 4) == [range(0, 1)]
 
 
 def test_partition_rejects_sample_size_one():

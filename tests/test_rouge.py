@@ -10,15 +10,14 @@ from hypothesis import strategies as st
 
 from uttrank.rouge import (
     RougeScore,
-    gold_order,
     gold_relevance,
-    gold_relevances,
     lcs_length,
     ngram_counts,
     rank_descending,
     rouge_l,
     rouge_n,
     rouge_scores,
+    token_relevances,
     tokenize,
 )
 
@@ -293,7 +292,7 @@ _texts = st.lists(st.sampled_from(_WORDS), max_size=25).map(" ".join)
 @settings(max_examples=150, deadline=None)
 @given(candidates=st.lists(_texts, max_size=8), reference=_texts)
 def test_batch_scores_equal_per_text_scores(candidates, reference):
-    labels = gold_relevances(candidates, reference)
+    labels = token_relevances([tokenize(text) for text in candidates], tokenize(reference))
     assert labels == [gold_relevance(text, reference) for text in candidates]
     for text, label, triple in zip(candidates, labels, rouge_scores(candidates, reference)):
         r1 = rouge_n(text, reference, 1)
@@ -303,7 +302,7 @@ def test_batch_scores_equal_per_text_scores(candidates, reference):
         assert label == (r1.f1 + r2.f1 + rl.f1) / 3
 
 
-# -------------------------------------------------------------- gold_order
+# ---------------------------------------------------------- rank_descending
 
 def test_rank_descending_fixture():
     assert rank_descending([0.2, 0.9, 0.5]) == [1, 2, 0]
@@ -320,21 +319,6 @@ def test_rank_descending_stable_under_ties(values):
     assert sorted(order) == list(range(len(values)))
     for i, j in zip(order, order[1:]):
         assert values[i] > values[j] or (values[i] == values[j] and i < j)
-
-
-def test_gold_order_matches_sort_oracle():
-    rng = np.random.default_rng(13)
-    words = ["alpha", "beta", "gamma", "delta", "eps"]
-    for _ in range(25):
-        utts = [" ".join(rng.choice(words, size=rng.integers(1, 6))) for _ in range(8)]
-        summary = " ".join(rng.choice(words, size=10))
-        order = gold_order(utts, summary)
-        rel = [gold_relevance(u, summary) for u in utts]
-        want = sorted(range(8), key=lambda i: (-rel[i], i))
-        assert order == want
-        assert sorted(order) == list(range(8))
-        along = [rel[i] for i in order]
-        assert all(x >= y - 1e-15 for x, y in zip(along, along[1:]))
 
 
 def test_rouge_score_f1_invariant():
