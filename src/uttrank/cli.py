@@ -6,11 +6,12 @@ defaults are those of the owning code: TrainConfig and PipelineConfig fields
 for train, extract and eval, synth_corpus's keywords for synth, and
 grad_check's epsilon for gradcheck; only the keys no library code owns
 (split sizes, objective lists, gradcheck's points and seed) are set here.
-A config-file key is the flag's destination name (--use-spans is
-locator_use_spans) and its value must have the default's JSON type: an
-integer, a number, true/false, a string, or a list of integers for
-hidden_dims. eval trains its re-ranker with the stage-1 settings, and
-extract re-ranks exactly when --reranker is given.
+Each key's flag is the key with dashes (the boolean locator_use_spans is
+--locator-use-spans/--no-locator-use-spans) and parses as its default's type;
+a config-file value must have the default's JSON type: an integer, a number,
+true/false, a string, or a list of integers for hidden_dims. eval trains its
+re-ranker with the stage-1 settings, and extract re-ranks exactly when
+--reranker is given.
 
 Each run that writes files also writes a manifest.json next to them recording
 the command, the resolved configuration with its typed values, the seed, the
@@ -33,7 +34,6 @@ import json
 import logging
 import os
 import sys
-from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -61,20 +61,7 @@ from .trainer import (
 
 logger = logging.getLogger(__name__)
 
-__all__ = ["RunManifest", "dispatch", "main"]
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    command: str
-    config: dict
-    seed: int | None
-    version: str
-    input_digests: dict
-    timestamp: str
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
+__all__ = ["dispatch", "main"]
 
 
 def _sha256(path: Path) -> str:
@@ -91,15 +78,15 @@ def _write_text(path: Path, text: str) -> None:
 
 
 def _write_manifest(out_dir: Path, command: str, config: dict, seed, inputs) -> None:
-    manifest = RunManifest(
-        command=command,
-        config=config,
-        seed=seed,
-        version=__version__,
-        input_digests={str(p): _sha256(Path(p)) for p in inputs},
-        timestamp=datetime.now(timezone.utc).isoformat(),
-    )
-    _write_text(out_dir / "manifest.json", manifest.to_json() + "\n")
+    manifest = {
+        "command": command,
+        "config": config,
+        "seed": seed,
+        "version": __version__,
+        "input_digests": {str(p): _sha256(Path(p)) for p in inputs},
+        "timestamp": datetime.now(timezone.utc).isoformat(),
+    }
+    _write_text(out_dir / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _load_config_file(path) -> dict:
@@ -150,21 +137,14 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
 
 def _build(cls, resolved: dict):
     """A config dataclass from the resolved values of its fields; others keep their defaults."""
-    return cls(**{f.name: resolved[f.name] for f in fields(cls) if f.name in resolved})
+    return cls(**{key: resolved[key] for key in _defaults(cls) if key in resolved})
 
 
-def _field_defaults(cls, names=None) -> dict:
-    """Defaults of a config dataclass's fields, all of them or the named ones."""
-    owned = {f.name: f.default for f in fields(cls)}
+def _defaults(owner, names=()) -> dict:
+    """Keyword defaults of a function or config dataclass, all of them or the named ones."""
+    params = inspect.signature(owner).parameters.values()
+    owned = {p.name: p.default for p in params if p.default is not p.empty}
     return {name: owned[name] for name in names or owned}
-
-
-def _keyword_defaults(fn) -> dict:
-    return {
-        name: p.default
-        for name, p in inspect.signature(fn).parameters.items()
-        if p.default is not p.empty
-    }
 
 
 def _dims(text: str) -> tuple[int, ...]:
@@ -182,8 +162,8 @@ def _out_dir(path) -> Path:
 
 
 TRAIN_DEFAULTS = {
-    **_field_defaults(TrainConfig),
-    **_field_defaults(PipelineConfig, ("sample_size", "per_sample_top")),
+    **_defaults(TrainConfig),
+    **_defaults(PipelineConfig, ("sample_size", "per_sample_top")),
 }
 
 
@@ -216,7 +196,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-EXTRACT_DEFAULTS = _field_defaults(PipelineConfig)
+EXTRACT_DEFAULTS = _defaults(PipelineConfig)
 
 
 def _cmd_extract(args: argparse.Namespace) -> int:
@@ -244,10 +224,10 @@ def _cmd_extract(args: argparse.Namespace) -> int:
 
 EVAL_DEFAULTS = {
     "objectives": ",".join(COMPARISON_OBJECTIVES),
-    **_field_defaults(
+    **_defaults(
         TrainConfig, ("epochs", "learning_rate", "seed", "base_margin", "listwise_k", "hidden_dims")
     ),
-    **_field_defaults(PipelineConfig),
+    **_defaults(PipelineConfig),
 }
 
 
@@ -327,8 +307,8 @@ GRADCHECK_DEFAULTS = {
     "objectives": ",".join(OBJECTIVES),
     "points": 50,
     "seed": 0,
-    "epsilon": _keyword_defaults(grad_check)["epsilon"],
-    **_field_defaults(TrainConfig, ("hidden_dims",)),
+    "epsilon": _defaults(grad_check)["epsilon"],
+    **_defaults(TrainConfig, ("hidden_dims",)),
 }
 
 
@@ -346,6 +326,8 @@ def _cmd_gradcheck(args: argparse.Namespace) -> int:
     cfg = _resolve(args, GRADCHECK_DEFAULTS)
     if cfg["points"] < 1:
         raise ValidationError(f"points must be >= 1, got {cfg['points']}")
+    if cfg["seed"] < 0:
+        raise ValidationError(f"seed must be >= 0, got {cfg['seed']}")
     objectives = [o.strip() for o in cfg["objectives"].split(",") if o.strip()]
     unknown = [o for o in objectives if o not in OBJECTIVES]
     if unknown:
@@ -374,7 +356,7 @@ def _cmd_gradcheck(args: argparse.Namespace) -> int:
 
 
 # synth_corpus's keyword defaults but split: synth writes every split.
-_SYNTH_KEYWORDS = {k: v for k, v in _keyword_defaults(synth_corpus).items() if k != "split"}
+_SYNTH_KEYWORDS = {k: v for k, v in _defaults(synth_corpus).items() if k != "split"}
 SYNTH_DEFAULTS = {
     # Split sizes are the only keys without an owner; a validation or test
     # size of 0 means a tenth or a quarter of the train size.
@@ -388,8 +370,10 @@ SYNTH_DEFAULTS = {
 
 def _cmd_synth(args: argparse.Namespace) -> int:
     cfg = _resolve(args, SYNTH_DEFAULTS)
-    out = _out_dir(args.out_dir)
     n_train = cfg["instances"]
+    if n_train < 1:
+        raise ValidationError(f"instances must be >= 1, got {n_train}")
+    out = _out_dir(args.out_dir)
     n_validation = cfg["validation_instances"] or max(1, n_train // 10)
     n_test = cfg["test_instances"] or max(1, n_train // 4)
     keywords = {k: cfg[k] for k in _SYNTH_KEYWORDS}
@@ -401,6 +385,40 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
+# Help texts of the flags that need more than their name.
+_HELP = {
+    "--stage1-model": "frozen stage-1 checkpoint (listwise only)",
+    "--reranker": "re-ranker checkpoint; omit to disable re-ranking",
+    "--hidden-dims": "comma-separated hidden layer sizes",
+    "--objectives": "comma-separated objective names",
+    "--instances": "train split size",
+    "--segment-len": "utterances per speaker block",
+    "--offtopic-cap": "relevance ceiling off the queried speakers",
+}
+
+
+def _add_command(sub, name: str, help: str, func, paths: dict, defaults: dict) -> None:
+    """A subcommand with its path flags, --config, and one flag per key of defaults.
+
+    paths maps each path or model flag to whether it is required. A key's flag
+    is --key-with-dashes and parses as the type of its default: a bool is a
+    --key/--no-key pair, a tuple is comma-separated integers.
+    """
+    parser = sub.add_parser(name, help=help)
+    for flag, required in paths.items():
+        parser.add_argument(flag, required=required, help=_HELP.get(flag))
+    parser.add_argument("--config", help="JSON config file; explicit flags win")
+    for key, default in defaults.items():
+        flag = "--" + key.replace("_", "-")
+        kind = type(default)
+        if kind is bool:
+            parse = {"action": argparse.BooleanOptionalAction}
+        else:
+            parse = {"type": _dims if kind is tuple else kind}
+        parser.add_argument(flag, help=_HELP.get(flag), **parse)
+    parser.set_defaults(func=func)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="uttrank",
@@ -409,59 +427,20 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    train = sub.add_parser("train", help="train a scoring model")
-    train.add_argument("--corpus", required=True)
-    train.add_argument("--out-dir", required=True)
-    train.add_argument("--config", help="JSON config file; explicit flags win")
-    train.add_argument("--objective", choices=OBJECTIVES)
-    train.add_argument("--epochs", type=int)
-    train.add_argument("--learning-rate", type=float)
-    train.add_argument("--seed", type=int)
-    train.add_argument("--base-margin", type=float)
-    train.add_argument("--listwise-k", type=int)
-    train.add_argument("--hidden-dims", type=_dims, help="comma-separated hidden layer sizes")
-    train.add_argument("--locator-positives", type=int)
-    train.add_argument(
-        "--use-spans",
-        dest="locator_use_spans",
-        action=argparse.BooleanOptionalAction,
-        default=None,
+    _add_command(
+        sub, "train", "train a scoring model", _cmd_train,
+        {"--corpus": True, "--out-dir": True, "--stage1-model": False}, TRAIN_DEFAULTS,
     )
-    train.add_argument("--sample-size", type=int)
-    train.add_argument("--per-sample-top", type=int)
-    train.add_argument("--stage1-model", help="frozen stage-1 checkpoint (listwise only)")
-    train.set_defaults(func=_cmd_train)
-
-    extract = sub.add_parser("extract", help="run the extraction pipeline")
-    extract.add_argument("--corpus", required=True)
-    extract.add_argument("--model", required=True)
-    extract.add_argument("--reranker", help="re-ranker checkpoint; omit to disable re-ranking")
-    extract.add_argument("--out-dir", required=True)
-    extract.add_argument("--config")
-    extract.add_argument("--sample-size", type=int)
-    extract.add_argument("--per-sample-top", type=int)
-    extract.add_argument("--top-k", type=int)
-    extract.add_argument("--token-budget", type=int)
-    extract.set_defaults(func=_cmd_extract)
-
-    evaluate = sub.add_parser("eval", help="train and compare extraction objectives")
-    evaluate.add_argument("--train-corpus", required=True)
-    evaluate.add_argument("--validation-corpus", required=True)
-    evaluate.add_argument("--test-corpus", required=True)
-    evaluate.add_argument("--out-dir", required=True)
-    evaluate.add_argument("--config")
-    evaluate.add_argument("--objectives", help="comma-separated comparison rows")
-    evaluate.add_argument("--epochs", type=int)
-    evaluate.add_argument("--learning-rate", type=float)
-    evaluate.add_argument("--seed", type=int)
-    evaluate.add_argument("--base-margin", type=float)
-    evaluate.add_argument("--listwise-k", type=int)
-    evaluate.add_argument("--hidden-dims", type=_dims)
-    evaluate.add_argument("--sample-size", type=int)
-    evaluate.add_argument("--per-sample-top", type=int)
-    evaluate.add_argument("--top-k", type=int)
-    evaluate.add_argument("--token-budget", type=int)
-    evaluate.set_defaults(func=_cmd_eval)
+    _add_command(
+        sub, "extract", "run the extraction pipeline", _cmd_extract,
+        {"--corpus": True, "--model": True, "--reranker": False, "--out-dir": True},
+        EXTRACT_DEFAULTS,
+    )
+    _add_command(
+        sub, "eval", "train and compare extraction objectives", _cmd_eval,
+        dict.fromkeys(("--train-corpus", "--validation-corpus", "--test-corpus", "--out-dir"), True),
+        EVAL_DEFAULTS,
+    )
 
     rouge = sub.add_parser("rouge", help="score candidate/reference text pairs")
     rouge.add_argument("--pairs", help="two-column TSV of candidate<TAB>reference")
@@ -470,33 +449,14 @@ def build_parser() -> argparse.ArgumentParser:
     rouge.add_argument("--out-dir")
     rouge.set_defaults(func=_cmd_rouge)
 
-    gradcheck = sub.add_parser("gradcheck", help="finite-difference gradient check")
-    gradcheck.add_argument("--config")
-    gradcheck.add_argument("--objectives", help="comma-separated loss names")
-    gradcheck.add_argument("--points", type=int)
-    gradcheck.add_argument("--seed", type=int)
-    gradcheck.add_argument("--epsilon", type=float)
-    gradcheck.add_argument("--hidden-dims", type=_dims)
-    gradcheck.add_argument("--out-dir")
-    gradcheck.set_defaults(func=_cmd_gradcheck)
-
-    synth = sub.add_parser("synth", help="generate a planted-order synthetic corpus")
-    synth.add_argument("--out-dir", required=True)
-    synth.add_argument("--config")
-    synth.add_argument("--instances", type=int, help="train split size")
-    synth.add_argument("--validation-instances", type=int)
-    synth.add_argument("--test-instances", type=int)
-    synth.add_argument("--utterances", type=int)
-    synth.add_argument("--noise", type=float)
-    synth.add_argument("--seed", type=int)
-    synth.add_argument("--summary-words", type=int)
-    synth.add_argument("--query-words", type=int)
-    synth.add_argument("--min-tokens", type=int)
-    synth.add_argument("--max-tokens", type=int)
-    synth.add_argument("--segment-len", type=int, help="utterances per speaker block")
-    synth.add_argument("--offtopic-cap", type=float, help="relevance ceiling off the queried speakers")
-    synth.set_defaults(func=_cmd_synth)
-
+    _add_command(
+        sub, "gradcheck", "finite-difference gradient check", _cmd_gradcheck,
+        {"--out-dir": False}, GRADCHECK_DEFAULTS,
+    )
+    _add_command(
+        sub, "synth", "generate a planted-order synthetic corpus", _cmd_synth,
+        {"--out-dir": True}, SYNTH_DEFAULTS,
+    )
     return parser
 
 

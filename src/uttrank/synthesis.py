@@ -176,6 +176,8 @@ def synth_splits(
     shift when another split's count changes. Keyword arguments such as
     n_utterances and noise go to synth_corpus.
     """
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     counts = dict(zip(SPLITS, (n_train, n_validation, n_test)))
     children = np.random.SeedSequence(seed).spawn(len(SPLITS))
     out = {}

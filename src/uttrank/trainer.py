@@ -93,6 +93,12 @@ class TrainConfig:
             raise ValidationError(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.epochs < 1:
             raise ValidationError(f"epochs must be >= 1, got {self.epochs}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
+        if self.listwise_k < 1:
+            raise ValidationError(f"listwise_k must be >= 1, got {self.listwise_k}")
+        if self.locator_positives < 1:
+            raise ValidationError(f"locator_positives must be >= 1, got {self.locator_positives}")
 
 
 @dataclass

@@ -300,6 +300,47 @@ def test_config_file_rejects_wrong_type(trained, tmp_path, capsys, key, value):
     assert not (out / "model.json").exists()
 
 
+@pytest.mark.parametrize(
+    "flags, key",
+    [
+        (["--objective", "bce", "--locator-positives", "-1"], "locator_positives"),
+        (["--objective", "bce", "--locator-positives", "0"], "locator_positives"),
+        (["--listwise-k", "0"], "listwise_k"),
+        (["--seed", "-1"], "seed"),
+        (["--objective", "ranknet"], "objective"),
+    ],
+)
+def test_train_rejects_bad_config_values(trained, tmp_path, capsys, flags, key):
+    _, corpus, _ = trained
+    out = tmp_path / "bad-value"
+    code = dispatch(["train", "--corpus", str(corpus / "train.jsonl"), "--out-dir", str(out), *flags])
+    assert code == 1
+    assert key in capsys.readouterr().err
+    assert not (out / "model.json").exists()
+
+
+@pytest.mark.parametrize(
+    "command, flags, key",
+    [
+        ("synth", ["--instances", "0"], "instances"),
+        ("synth", ["--seed", "-1"], "seed"),
+        ("train", ["--seed", "-1"], "seed"),
+        ("eval", ["--seed", "-1"], "seed"),
+        ("gradcheck", ["--seed", "-1"], "seed"),
+    ],
+)
+def test_bad_values_exit_one_without_traceback(trained, tmp_path, capsys, command, flags, key):
+    _, corpus, _ = trained
+    corpus_flags = {
+        "train": {"--corpus": "train"},
+        "eval": {f"--{split}-corpus": split for split in ("train", "validation", "test")},
+    }.get(command, {})
+    paths = [arg for flag, split in corpus_flags.items() for arg in (flag, str(corpus / f"{split}.jsonl"))]
+    assert dispatch([command, *paths, "--out-dir", str(tmp_path / "o"), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_train_aborts_on_divergence(trained, tmp_path, capsys):
     _, corpus, _ = trained
@@ -347,6 +388,37 @@ _NOT_RESOLVED = {
 def test_flags_match_resolved_keys(command, defaults):
     args = build_parser().parse_args([command, *_REQUIRED[command]])
     assert set(vars(args)) - _NOT_RESOLVED == set(defaults)
+
+
+def _flag_args(key, default) -> list[str]:
+    """The argv that sets key to default: --key VALUE, or --key/--no-key for a bool."""
+    flag = "--" + key.replace("_", "-")
+    if type(default) is bool:
+        return [flag if default else "--no-" + flag[2:]]
+    if type(default) is tuple:
+        return [flag, ",".join(map(str, default))]
+    return [flag, str(default)]
+
+
+@pytest.mark.parametrize(
+    "command, key, default",
+    [
+        (command, key, default)
+        for command, defaults in [
+            ("train", TRAIN_DEFAULTS),
+            ("extract", EXTRACT_DEFAULTS),
+            ("eval", EVAL_DEFAULTS),
+            ("gradcheck", GRADCHECK_DEFAULTS),
+            ("synth", SYNTH_DEFAULTS),
+        ]
+        for key, default in defaults.items()
+    ],
+)
+def test_every_flag_parses_to_its_default(command, key, default):
+    args = build_parser().parse_args([command, *_REQUIRED[command], *_flag_args(key, default)])
+    value = getattr(args, key)
+    assert value == default
+    assert type(value) is type(default)
 
 
 def _owned(owner) -> dict:
