@@ -46,7 +46,9 @@ from .evaluation import COMPARISON_OBJECTIVES, run_comparison
 from .fileio import atomic_open
 from .pipeline import PipelineConfig, run_pipeline
 from .rouge import rouge_scores
-from .scorer import FEATURE_DIM, init_model, instance_features, load_model, save_model
+from .scorer import (
+    FEATURE_DIM, init_model, instance_features, load_model, save_model, score_utterances
+)
 from .synthesis import synth_corpus, synth_splits
 from .trainer import (
     OBJECTIVES,
@@ -171,14 +173,17 @@ def _cmd_train(args: argparse.Namespace) -> int:
     cfg = _resolve(args, TRAIN_DEFAULTS)
     train_config = _build(TrainConfig, cfg)
     pipeline_config = _build(PipelineConfig, cfg)
+    if (train_config.objective == "listwise") != bool(args.stage1_model):
+        raise ValidationError(
+            "--stage1-model is required with objective 'listwise' and rejected with any other, "
+            f"got objective {train_config.objective!r}"
+        )
     out = _out_dir(args.out_dir)
     prepared = prepare_corpus(load_corpus(args.corpus, split="train"))
     inputs = [args.corpus]
     if train_config.objective == "pairwise":
         result = train_ranker(prepared, train_config, pipeline_config)
     elif train_config.objective == "listwise":
-        if not args.stage1_model:
-            raise ValidationError("objective 'listwise' requires --stage1-model")
         stage1 = load_model(args.stage1_model)
         inputs.append(args.stage1_model)
         result = train_reranker(prepared, stage1, train_config, pipeline_config)
@@ -204,12 +209,14 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     pipeline_config = _build(PipelineConfig, cfg)
     out = _out_dir(args.out_dir)
     corpus = load_corpus(args.corpus, split="test")
-    model = load_model(args.model)
-    reranker = load_model(args.reranker) if args.reranker else None
+    # Without --reranker the stage-1 model also orders the pool (the ablation).
+    checkpoints = [path for path in (args.model, args.reranker) if path]
+    models = [load_model(path) for path in checkpoints]
     with atomic_open(out / "extractions.jsonl") as fh:
         for instance in corpus:
             features = instance_features(instance)  # extraction needs no gold labels
-            result = run_pipeline(instance, features, model, reranker, pipeline_config)
+            scores = [score_utterances(model, features) for model in models]
+            result = run_pipeline(instance, scores[0], scores[-1], pipeline_config)
             record = {
                 "instance_id": result.instance_id,
                 "selected_indices": list(result.selected_indices),
@@ -217,8 +224,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
                 "generator_input": result.generator_input,
             }
             fh.write(json.dumps(record, sort_keys=True) + "\n")
-    inputs = [args.corpus, args.model] + ([args.reranker] if args.reranker else [])
-    _write_manifest(out, "extract", cfg, None, inputs)
+    _write_manifest(out, "extract", cfg, None, [args.corpus, *checkpoints])
     return 0
 
 
@@ -329,6 +335,8 @@ def _cmd_gradcheck(args: argparse.Namespace) -> int:
     if cfg["seed"] < 0:
         raise ValidationError(f"seed must be >= 0, got {cfg['seed']}")
     objectives = [o.strip() for o in cfg["objectives"].split(",") if o.strip()]
+    if not objectives:
+        raise ValidationError(f"objectives names no objective: {cfg['objectives']!r}")
     unknown = [o for o in objectives if o not in OBJECTIVES]
     if unknown:
         raise ValidationError(f"unknown objectives {unknown}, expected among {list(OBJECTIVES)}")
@@ -373,6 +381,9 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     n_train = cfg["instances"]
     if n_train < 1:
         raise ValidationError(f"instances must be >= 1, got {n_train}")
+    for key in ("validation_instances", "test_instances"):
+        if cfg[key] < 0:
+            raise ValidationError(f"{key} must be >= 0, got {cfg[key]}")
     out = _out_dir(args.out_dir)
     n_validation = cfg["validation_instances"] or max(1, n_train // 10)
     n_test = cfg["test_instances"] or max(1, n_train // 4)

@@ -110,9 +110,10 @@ class Corpus:
 
 def _parse_instance(record: dict, path: str, line_number: int) -> QueryInstance:
     try:
+        meeting_id = str(record["meeting_id"])
         utterances = tuple(
             Utterance(
-                meeting_id=record["meeting_id"],
+                meeting_id=meeting_id,
                 index=int(u["index"]),
                 speaker=str(u["speaker"]),
                 text=str(u["text"]),
@@ -122,7 +123,7 @@ def _parse_instance(record: dict, path: str, line_number: int) -> QueryInstance:
         spans = record.get("relevant_spans")
         instance = QueryInstance(
             instance_id=str(record["instance_id"]),
-            meeting_id=str(record["meeting_id"]),
+            meeting_id=meeting_id,
             query=str(record["query"]),
             utterances=utterances,
             gold_summary=str(record["gold_summary"]),

@@ -22,7 +22,7 @@ from .corpus import Corpus, instance_to_record
 from .errors import ValidationError
 from .pipeline import ExtractionResult, PipelineConfig, run_pipeline, select_topk
 from .rouge import RougeScore, rank_descending, rouge_scores
-from .scorer import ScoringModel, forward
+from .scorer import ScoringModel, score_utterances
 from .trainer import (
     PreparedInstance,
     TrainConfig,
@@ -325,19 +325,13 @@ def run_comparison(
     for prep in prepared_test:
         instance = prep.instance
         n = len(instance.utterances)
-        row_scores = {o: forward(models[o], prep.features)[0] for o in trainable}
+        row_scores = {o: score_utterances(models[o], prep.features) for o in trainable}
         row_scores["lead"] = np.arange(n, 0, -1, dtype=float)
         row_scores["gold"] = prep.relevance
         for objective, scores in row_scores.items():
             order = rank_descending(scores.tolist())
-            if objective == "pairwise+listwise":
-                extraction = run_pipeline(
-                    instance, prep.features, models["pairwise"], models[objective], pipeline_config
-                )
-            elif objective == "pairwise":
-                extraction = run_pipeline(
-                    instance, prep.features, models[objective], None, pipeline_config
-                )
+            if objective in ("pairwise", "pairwise+listwise"):
+                extraction = run_pipeline(instance, row_scores["pairwise"], scores, pipeline_config)
             else:
                 extraction = select_topk(order, scores, instance, k, pipeline_config.token_budget)
             selections[objective].append((extraction, order))

@@ -1,10 +1,11 @@
 """Two-stage extraction pipeline.
 
-Per-sample ranking, pooling of each sample's top utterances, an optional
-global listwise-trained re-ranking pass over the pool, greedy top-K selection
-under a token budget, and generator-input assembly. Samples are range windows
-and the pool is a tuple of utterance indices; re-ranker training pools with
-the same stage1_pool. run_pipeline scores the feature matrix it is given.
+Per-sample ranking, pooling of each sample's top utterances, a global
+re-ranking pass over the pool, greedy top-K selection under a token budget,
+and generator-input assembly. Every stage reads score vectors, one score per
+utterance, and no model; the no-re-ranker ablation orders the pool by the
+stage-1 vector. Samples are range windows and the pool is a tuple of
+utterance indices; re-ranker training pools with the same stage1_pool.
 
 Selected utterances are emitted in transcript order (dialogue coherence for a
 downstream generator); rank order is recoverable from selection_scores. The
@@ -18,11 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .corpus import QueryInstance, partition_samples
 from .errors import ValidationError
-from .scorer import ScoringModel, score_utterances
 
 __all__ = [
     "PipelineConfig",
@@ -181,28 +179,22 @@ def select_topk(
 
 def run_pipeline(
     instance: QueryInstance,
-    features: np.ndarray,
-    ranker: ScoringModel,
-    reranker: ScoringModel | None,
+    stage1_scores,
+    selection_scores,
     config: PipelineConfig,
 ) -> ExtractionResult:
-    """Full extraction for one instance; deterministic given models and config.
+    """Full extraction for one instance; deterministic given its score vectors and config.
 
-    features is the instance's feature matrix (scorer.instance_features),
-    which both models score. With reranker None the pool is ordered by
-    stage-1 scores (the ablation path).
+    stage1_scores picks each window's top candidates; selection_scores orders
+    the pool and is reported as the selected utterances' scores. Each holds
+    one score per utterance (scorer.score_utterances).
     """
-    ranker_scores = score_utterances(ranker, features)
-    stage1_orders, pool = stage1_pool(instance, ranker_scores, config)
-
-    if reranker is None:
-        global_order = _order_by_score(pool, ranker_scores)
-        selection_scores = ranker_scores
-    else:
-        rerank_scores = score_utterances(reranker, features)
-        global_order = stage2_rerank(pool, rerank_scores)
-        selection_scores = rerank_scores
-
+    n = len(instance.utterances)
+    for name, scores in (("stage1_scores", stage1_scores), ("selection_scores", selection_scores)):
+        if len(scores) != n:
+            raise ValidationError(f"{name} holds {len(scores)} scores for {n} utterances")
+    stage1_orders, pool = stage1_pool(instance, stage1_scores, config)
+    global_order = stage2_rerank(pool, selection_scores)
     result = select_topk(
         global_order, selection_scores, instance, config.top_k, config.token_budget
     )

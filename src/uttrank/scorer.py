@@ -297,12 +297,14 @@ def num_params(model: ScoringModel) -> int:
     return sum(w.size for w in model.weights) + sum(b.size for b in model.biases)
 
 
-def flat_params(model: ScoringModel) -> np.ndarray:
-    parts = []
-    for w, b in zip(model.weights, model.biases):
-        parts.append(w.ravel())
-        parts.append(b.ravel())
+def _flatten(weights: list[np.ndarray], biases: list[np.ndarray]) -> np.ndarray:
+    """Layer by layer, each layer's weights then its biases."""
+    parts = [part.ravel() for w, b in zip(weights, biases) for part in (w, b)]
     return np.concatenate(parts) if parts else np.zeros(0)
+
+
+def flat_params(model: ScoringModel) -> np.ndarray:
+    return _flatten(model.weights, model.biases)
 
 
 def set_flat_params(model: ScoringModel, vector: np.ndarray) -> None:
@@ -318,11 +320,7 @@ def set_flat_params(model: ScoringModel, vector: np.ndarray) -> None:
 
 
 def flat_gradient(grad: ParameterGradient) -> np.ndarray:
-    parts = []
-    for w, b in zip(grad.weights, grad.biases):
-        parts.append(w.ravel())
-        parts.append(b.ravel())
-    return np.concatenate(parts) if parts else np.zeros(0)
+    return _flatten(grad.weights, grad.biases)
 
 
 def apply_gradient(model: ScoringModel, grad: ParameterGradient, learning_rate: float) -> None:

@@ -237,8 +237,9 @@ def test_criterion_07_reranking_ablation_direction(capsys, planted_seed7):
     overlap = {"on": [], "off": []}
     for prep in prep_test:
         inst = prep.instance
-        full = run_pipeline(inst, prep.features, stage1, reranker, pcfg)
-        bare = run_pipeline(inst, prep.features, stage1, None, pcfg)
+        scores = score_utterances(stage1, prep.features)
+        full = run_pipeline(inst, scores, score_utterances(reranker, prep.features), pcfg)
+        bare = run_pipeline(inst, scores, scores, pcfg)
         for key, ext in (("on", full), ("off", bare)):
             ndcg[key].append(ndcg_at_k(list(ext.selected_indices), prep.relevance, 10))
             overlap[key].append(topk_rouge_overlap(ext, inst.gold_summary)[10][0].f1)
@@ -370,9 +371,9 @@ def test_criterion_10_budget_contract(capsys):
     truncated = 0
     for i, instance in enumerate(corpus):
         features = instance_features(instance)
-        result = run_pipeline(
-            instance, features, ranker, reranker if i % 2 == 0 else None, config
-        )
+        scores = score_utterances(ranker, features)
+        selection = score_utterances(reranker, features) if i % 2 == 0 else scores
+        result = run_pipeline(instance, scores, selection, config)
         worst = max(worst, len(tokenize(result.generator_input)))
         truncated += result.truncated
     ok = worst <= 1024

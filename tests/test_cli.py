@@ -77,6 +77,24 @@ def test_listwise_training_requires_stage1(tmp_path, capsys):
     assert "stage1" in capsys.readouterr().err
 
 
+def test_stage1_model_rejected_without_listwise(tmp_path, capsys):
+    # The default objective is pairwise: a forgotten --objective listwise must
+    # not save a stage-1 model where a re-ranker was meant.
+    corpus = _synth(tmp_path)
+    out = tmp_path / "o"
+    code = dispatch(
+        [
+            "train",
+            "--corpus", str(corpus / "train.jsonl"),
+            "--out-dir", str(out),
+            "--stage1-model", str(tmp_path / "missing.json"),
+        ]
+    )
+    assert code == 1
+    assert "--stage1-model" in capsys.readouterr().err
+    assert not (out / "model.json").exists()
+
+
 # ---------------------------------------------------------------------- rouge
 
 def test_rouge_identical_pair_scores_one(tmp_path, capsys):
@@ -327,6 +345,9 @@ def test_train_rejects_bad_config_values(trained, tmp_path, capsys, flags, key):
         ("train", ["--seed", "-1"], "seed"),
         ("eval", ["--seed", "-1"], "seed"),
         ("gradcheck", ["--seed", "-1"], "seed"),
+        ("gradcheck", ["--objectives", ","], "objectives"),
+        ("synth", ["--validation-instances", "-1"], "validation_instances"),
+        ("synth", ["--test-instances", "-1"], "test_instances"),
     ],
 )
 def test_bad_values_exit_one_without_traceback(trained, tmp_path, capsys, command, flags, key):

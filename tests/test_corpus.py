@@ -55,6 +55,14 @@ def test_load_roundtrip_fixture(tmp_path):
     assert again.instances == corpus.instances
 
 
+def test_load_numeric_meeting_id(tmp_path):
+    path = tmp_path / "numeric.jsonl"
+    _write_jsonl(path, [dict(_record("a"), meeting_id=7)])
+    (instance,) = load_corpus(path).instances
+    assert instance.meeting_id == "7"
+    assert {u.meeting_id for u in instance.utterances} == {"7"}
+
+
 def test_load_duplicate_instance_id(tmp_path):
     path = tmp_path / "dup.jsonl"
     _write_jsonl(path, [_record("same"), _record("same")])

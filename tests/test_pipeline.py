@@ -13,6 +13,7 @@ from uttrank.pipeline import (
     pool_candidates,
     run_pipeline,
     select_topk,
+    stage1_pool,
     stage1_rank,
     stage2_rerank,
 )
@@ -237,25 +238,27 @@ def _models(seed_a=1, seed_b=2):
     )
 
 
+def _scores(inst, *models):
+    features = instance_features(inst)
+    return [score_utterances(model, features) for model in models]
+
+
 def test_pipeline_rerank_off_single_sample_is_plain_topk():
     inst = _instance(9)
     ranker, _ = _models()
     config = PipelineConfig(sample_size=16, top_k=4)
-    features = instance_features(inst)
-    result = run_pipeline(inst, features, ranker, None, config)
-    scores = score_utterances(ranker, features)
+    (scores,) = _scores(inst, ranker)
+    result = run_pipeline(inst, scores, scores, config)
     want = sorted(range(9), key=lambda i: (-scores[i], i))[:4]
     assert sorted(result.selected_indices) == sorted(want)
 
 
 def test_pipeline_selection_subset_of_pool():
     inst = _instance(20)
-    ranker, reranker = _models()
-    features = instance_features(inst)
+    scores, rerank_scores = _scores(inst, *_models())
     for rerank in (True, False):
         config = PipelineConfig(sample_size=5, per_sample_top=2, top_k=6)
-        result = run_pipeline(inst, features, ranker, reranker if rerank else None, config)
-        scores = score_utterances(ranker, features)
+        result = run_pipeline(inst, scores, rerank_scores if rerank else scores, config)
         samples = partition_samples(inst, 5)
         pool = {i for s in samples for i in sorted(s, key=lambda j: (-scores[j], j))[:2]}
         assert set(result.selected_indices) <= pool
@@ -264,11 +267,9 @@ def test_pipeline_selection_subset_of_pool():
 
 def test_pipeline_deterministic():
     inst = _instance(15)
-    ranker, reranker = _models()
     config = PipelineConfig(sample_size=4, per_sample_top=2, top_k=5)
-    features = instance_features(inst)
-    a = run_pipeline(inst, features, ranker, reranker, config)
-    b = run_pipeline(inst, features, ranker, reranker, config)
+    a = run_pipeline(inst, *_scores(inst, *_models()), config)
+    b = run_pipeline(inst, *_scores(inst, *_models()), config)
     assert a == b
 
 
@@ -278,12 +279,11 @@ def test_pipeline_invariant_under_increasing_score_transform():
     inst = _instance(18)
     ranker, reranker = _models(3, 4)
     config = PipelineConfig(sample_size=6, per_sample_top=3, top_k=5)
-    features = instance_features(inst)
-    base = run_pipeline(inst, features, ranker, reranker, config)
+    base = run_pipeline(inst, *_scores(inst, ranker, reranker), config)
     for model in (ranker, reranker):
         model.weights[-1] *= 2.5
         model.biases[-1] = model.biases[-1] * 2.5 + 0.7
-    transformed = run_pipeline(inst, features, ranker, reranker, config)
+    transformed = run_pipeline(inst, *_scores(inst, ranker, reranker), config)
     assert transformed.selected_indices == base.selected_indices
     assert transformed.global_order == base.global_order
     assert transformed.stage1_orders == base.stage1_orders
@@ -301,9 +301,57 @@ def test_pipeline_budget_holds_on_random_corpora():
             top_k=int(rng.integers(1, 12)),
             token_budget=int(rng.integers(64, 1200)),
         )
-        result = run_pipeline(inst, instance_features(inst), ranker, reranker, config)
+        result = run_pipeline(inst, *_scores(inst, ranker, reranker), config)
         if not result.truncated:
             assert len(result.generator_input.split()) <= config.token_budget
+
+
+_INCREASING = (lambda x: 2.5 * x + 0.7, lambda x: np.exp(x / 8.0), lambda x: x**3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(2, 30),
+    sample_size=st.integers(2, 12),
+    top_k=st.integers(1, 12),
+    data=st.data(),
+)
+def test_pipeline_on_random_score_vectors(n, sample_size, top_k, data):
+    inst = _instance(n)
+    config = PipelineConfig(
+        sample_size=sample_size,
+        per_sample_top=data.draw(st.integers(1, sample_size), label="per_sample_top"),
+        top_k=top_k,
+    )
+    # Integer scores keep ties, which the index tie-break must resolve alike.
+    vector = st.lists(st.integers(-50, 50), min_size=n, max_size=n).map(np.array)
+    stage1 = data.draw(vector, label="stage1")
+    selection = data.draw(vector, label="selection")
+    base = run_pipeline(inst, stage1, selection, config)
+    _, pool = stage1_pool(inst, stage1, config)
+    assert base.global_order == tuple(sorted(pool, key=lambda i: (-selection[i], i)))
+
+    # Selections depend on each vector's order only.
+    f = data.draw(st.sampled_from(_INCREASING), label="transform")
+    for moved in ((f(stage1), selection), (stage1, f(selection))):
+        result = run_pipeline(inst, *moved, config)
+        assert result.selected_indices == base.selected_indices
+        assert result.global_order == base.global_order
+        assert result.stage1_orders == base.stage1_orders
+
+    # The stage-1 vector twice is the ablation: the pool in stage-1 order.
+    ablation = run_pipeline(inst, stage1, stage1, config)
+    want = tuple(sorted(pool, key=lambda i: (-stage1[i], i)))
+    assert ablation.global_order == want
+    plain = select_topk(want, stage1, inst, config.top_k, config.token_budget)
+    assert ablation.selected_indices == plain.selected_indices
+    assert ablation.selection_scores == plain.selection_scores
+
+    # A vector of the wrong length is rejected, in either place.
+    for wrong in (stage1[:-1], np.append(stage1, 0)):
+        for vectors in ((wrong, selection), (stage1, wrong)):
+            with pytest.raises(ValidationError, match="scores for"):
+                run_pipeline(inst, *vectors, config)
 
 
 def test_pipeline_config_validation():
