@@ -42,7 +42,7 @@ import numpy as np
 from . import __version__
 from .corpus import SPLITS, load_corpus, save_corpus
 from .errors import UttrankError, ValidationError
-from .evaluation import COMPARISON_OBJECTIVES, run_comparison
+from .evaluation import COMPARISON_OBJECTIVES, REFERENCE_ROWS, run_comparison
 from .fileio import atomic_open
 from .pipeline import PipelineConfig, run_pipeline
 from .rouge import rouge_scores
@@ -157,6 +157,15 @@ def _dims(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
 
 
+def _objectives(text: str, known) -> list[str]:
+    """The names of a comma-separated objectives value, first occurrence kept; each in known."""
+    names = list(dict.fromkeys(o.strip() for o in text.split(",") if o.strip()))
+    unknown = [o for o in names if o not in known]
+    if not names or unknown:
+        raise ValidationError(f"objectives must name objectives among {list(known)}, got {text!r}")
+    return names
+
+
 def _out_dir(path) -> Path:
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
@@ -239,6 +248,7 @@ EVAL_DEFAULTS = {
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     cfg = _resolve(args, EVAL_DEFAULTS)
+    objectives = _objectives(cfg["objectives"], (*COMPARISON_OBJECTIVES, *REFERENCE_ROWS))
     train_config = _build(TrainConfig, cfg)
     pipeline_config = _build(PipelineConfig, cfg)
     out = _out_dir(args.out_dir)
@@ -247,7 +257,6 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         "validation": load_corpus(args.validation_corpus, split="validation"),
         "test": load_corpus(args.test_corpus, split="test"),
     }
-    objectives = [o.strip() for o in cfg["objectives"].split(",") if o.strip()]
     report = run_comparison(
         corpora,
         objectives=objectives,
@@ -334,12 +343,7 @@ def _cmd_gradcheck(args: argparse.Namespace) -> int:
         raise ValidationError(f"points must be >= 1, got {cfg['points']}")
     if cfg["seed"] < 0:
         raise ValidationError(f"seed must be >= 0, got {cfg['seed']}")
-    objectives = [o.strip() for o in cfg["objectives"].split(",") if o.strip()]
-    if not objectives:
-        raise ValidationError(f"objectives names no objective: {cfg['objectives']!r}")
-    unknown = [o for o in objectives if o not in OBJECTIVES]
-    if unknown:
-        raise ValidationError(f"unknown objectives {unknown}, expected among {list(OBJECTIVES)}")
+    objectives = _objectives(cfg["objectives"], OBJECTIVES)
     rng = np.random.default_rng(cfg["seed"])
     dims = (FEATURE_DIM, *cfg["hidden_dims"], 1)
     results = {}

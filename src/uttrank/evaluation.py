@@ -20,8 +20,8 @@ import numpy as np
 
 from .corpus import Corpus, instance_to_record
 from .errors import ValidationError
-from .pipeline import ExtractionResult, PipelineConfig, run_pipeline, select_topk
-from .rouge import RougeScore, rank_descending, rouge_scores
+from .pipeline import ExtractionResult, PipelineConfig, rank_descending, run_pipeline, select_topk
+from .rouge import RougeScore, rouge_scores
 from .scorer import ScoringModel, score_utterances
 from .trainer import (
     PreparedInstance,
@@ -72,7 +72,7 @@ def ndcg_at_k(predicted_order, relevance, k: int) -> float:
         raise ValidationError(f"k must be >= 1, got {k}")
     order = list(predicted_order)
     relevance = np.asarray(relevance, dtype=np.float64)
-    ideal = sorted(order, key=lambda i: (-relevance[i], i))
+    ideal = rank_descending(relevance, order)
     depth = min(k, len(order))
     discounts = 1.0 / np.log2(np.arange(2, depth + 2))
     dcg = float(np.dot(relevance[order[:depth]], discounts))
@@ -112,7 +112,7 @@ def ranking_metrics(predicted_order, relevance, k: int) -> RankingMetrics:
     """All rank metrics of one ordering against the relevance-ideal ordering."""
     items = list(predicted_order)
     relevance = np.asarray(relevance, dtype=np.float64)
-    gold = sorted(items, key=lambda i: (-relevance[i], i))
+    gold = rank_descending(relevance, items)
     return RankingMetrics(
         ndcg_at_k=ndcg_at_k(items, relevance, k),
         kendall_tau=kendall_tau(items, gold),
@@ -131,10 +131,8 @@ def topk_rouge_overlap(
     measurement matches the text a generator would actually receive.
     """
     n = len(extraction.selected_indices)
-    by_score = sorted(
-        range(n),
-        key=lambda i: (-extraction.selection_scores[i], extraction.selected_indices[i]),
-    )
+    # Selected indices ascend, so ties by list position are ties by transcript position.
+    by_score = rank_descending(extraction.selection_scores)
     texts = {}
     for k in k_values:
         if k < 1:
@@ -308,6 +306,8 @@ def run_comparison(
     for split in REQUIRED_SPLITS:
         if split not in corpora:
             raise ValidationError(f"run_comparison requires a {split!r} split")
+    if not corpora["test"]:
+        raise ValidationError("run_comparison needs at least one instance in the 'test' split")
     known = set(COMPARISON_OBJECTIVES) | set(REFERENCE_ROWS)
     requested = list(dict.fromkeys(objectives))
     unknown = [o for o in requested if o not in known]

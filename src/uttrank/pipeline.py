@@ -7,6 +7,9 @@ utterance, and no model; the no-re-ranker ablation orders the pool by the
 stage-1 vector. Samples are range windows and the pool is a tuple of
 utterance indices; re-ranker training pools with the same stage1_pool.
 
+rank_descending is the one rule that turns scores into an order (score
+descending, ties by transcript position); both stages, trainer and metrics use it.
+
 Selected utterances are emitted in transcript order (dialogue coherence for a
 downstream generator); rank order is recoverable from selection_scores. The
 token budget counts whitespace-delimited tokens because this toolkit carries
@@ -23,6 +26,7 @@ from .corpus import QueryInstance, partition_samples
 from .errors import ValidationError
 
 __all__ = [
+    "rank_descending",
     "PipelineConfig",
     "ExtractionResult",
     "stage1_rank",
@@ -64,7 +68,7 @@ class ExtractionResult:
     transcript order. stage1_orders and global_order are audit fields: the
     per-sample rankings and the final candidate ranking that selection walked.
     truncated marks the degenerate path where even the first candidate
-    overflowed the token budget and had to be cut.
+    overflowed the token budget and was cut, in generator_input and selected_texts.
     """
 
     instance_id: str
@@ -77,8 +81,11 @@ class ExtractionResult:
     truncated: bool = False
 
 
-def _order_by_score(indices, scores) -> tuple[int, ...]:
-    return tuple(sorted(indices, key=lambda i: (-scores[i], i)))
+def rank_descending(values, indices=None) -> list[int]:
+    """indices (default: every position of values) by value descending, ties by position."""
+    if indices is None:
+        indices = range(len(values))
+    return sorted(indices, key=lambda i: (-values[i], i))
 
 
 def stage1_rank(window: range, scores) -> tuple[int, ...]:
@@ -87,7 +94,7 @@ def stage1_rank(window: range, scores) -> tuple[int, ...]:
     scores is the per-utterance score array for the whole instance, so one
     scoring pass serves every window of that instance.
     """
-    return _order_by_score(window, scores)
+    return tuple(rank_descending(scores, window))
 
 
 def pool_candidates(stage1_orders, per_sample_top: int) -> tuple[int, ...]:
@@ -113,7 +120,7 @@ def stage2_rerank(pool, scores) -> tuple[int, ...]:
     """Global sort of the pooled utterance indices by re-ranker score."""
     if not pool:
         raise ValidationError("cannot re-rank an empty candidate pool")
-    return _order_by_score(pool, scores)
+    return tuple(rank_descending(scores, pool))
 
 
 def _format_line(utterance) -> str:
@@ -151,14 +158,16 @@ def select_topk(
         # Degenerate: the first candidate alone exceeds the budget.
         first = global_order[0]
         selected = [first]
-        keep = max(1, token_budget - query_tokens)
-        line = " ".join(_format_line(utterances[first]).split()[:keep])
-        generator_input = "\n".join([instance.query, "", line])
+        line = _format_line(utterances[first]).split()[: max(0, token_budget - query_tokens)]
+        speaker_tokens = len(f"{utterances[first].speaker}:".split())
+        texts = [" ".join(line[speaker_tokens:])]
+        generator_input = "\n".join([instance.query, "", " ".join(line)])
         if query_tokens >= token_budget:
             # Even the query overflows; cut the assembled text outright.
             generator_input = " ".join(generator_input.split()[:token_budget])
     else:
         selected.sort()  # transcript order for the generator input
+        texts = [utterances[i].text for i in selected]
         lines = [instance.query, ""] + [_format_line(utterances[i]) for i in selected]
         generator_input = "\n".join(lines)
     if len(generator_input.split()) > token_budget:
@@ -169,7 +178,7 @@ def select_topk(
         instance_id=instance.instance_id,
         selected_indices=tuple(selected),
         selection_scores=tuple(float(scores[i]) for i in selected),
-        selected_texts=tuple(utterances[i].text for i in selected),
+        selected_texts=tuple(texts),
         generator_input=generator_input,
         stage1_orders=(),
         global_order=tuple(global_order),

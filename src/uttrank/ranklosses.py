@@ -5,12 +5,12 @@ respect to the input score vector:
 
 - pairwise margin loss over a sample whose scores are indexed in gold order,
   with a rank-gap margin (j - i) * base_margin;
-- permutation probabilities and the top-k listwise KL loss for global
-  re-ranking;
+- the top-k listwise KL loss for global re-ranking, between the gold and
+  predicted top-1..top-k prefix probabilities along the gold order;
 - binary cross-entropy (locator baseline) and mean squared error (simulator
   baseline).
 
-phi in the permutation probabilities is exp with max-subtraction: the listwise
+phi in the prefix probabilities is exp with max-subtraction: the listwise
 construction only requires an increasing, strictly positive function, and exp
 gives shift invariance and clean gradients. The top-k KL value is the literal
 sum over prefix components even though those components do not form a
@@ -26,14 +26,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .rouge import rank_descending
+from .pipeline import rank_descending
 
 __all__ = [
     "LossResult",
     "pairwise_margin_loss",
-    "perm_prob",
-    "topk_perm_prob",
-    "topk_distribution",
     "kl_listwise_loss",
     "bce_locator_loss",
     "mse_simulator_loss",
@@ -71,46 +68,12 @@ def pairwise_margin_loss(scores, base_margin: float) -> LossResult:
     return LossResult(value=value, grad=grad)
 
 
-def _check_permutation(pi, n: int) -> np.ndarray:
-    pi = np.asarray(pi, dtype=np.int64)
-    if pi.shape != (n,) or sorted(pi.tolist()) != list(range(n)):
-        raise ValidationError(f"invalid permutation {pi.tolist()} for {n} items")
-    return pi
-
-
-def _log_prefix_terms(scores: np.ndarray, pi: np.ndarray) -> np.ndarray:
-    """log of each positional factor exp(s_pi(j)) / sum_{t>=j} exp(s_pi(t))."""
+def _log_prefix_probs(scores: np.ndarray, pi: np.ndarray, k: int):
+    """log top-1..top-k prefix probabilities along pi, with the shifted exponentials and tails."""
     shifted = scores - scores.max()
-    e = np.exp(shifted)[pi]
-    tails = np.cumsum(e[::-1])[::-1]
-    return shifted[pi] - np.log(tails)
-
-
-def perm_prob(scores, pi) -> float:
-    """Probability of the full ordering pi under the score vector."""
-    s = np.asarray(scores, dtype=np.float64)
-    pi = _check_permutation(pi, s.shape[0])
-    return float(np.exp(_log_prefix_terms(s, pi).sum()))
-
-
-def topk_perm_prob(scores, pi, k: int) -> float:
-    """Probability mass of all full orderings sharing pi's k-prefix."""
-    s = np.asarray(scores, dtype=np.float64)
-    n = s.shape[0]
-    pi = _check_permutation(pi, n)
-    if not 1 <= k <= n:
-        raise ValidationError(f"k must be in [1, {n}], got {k}")
-    return float(np.exp(_log_prefix_terms(s, pi)[:k].sum()))
-
-
-def topk_distribution(scores, reference_pi, k: int) -> np.ndarray:
-    """Vector of top-1 .. top-k prefix probabilities along reference_pi."""
-    s = np.asarray(scores, dtype=np.float64)
-    n = s.shape[0]
-    pi = _check_permutation(reference_pi, n)
-    if not 1 <= k <= n:
-        raise ValidationError(f"k must be in [1, {n}], got {k}")
-    return np.exp(np.cumsum(_log_prefix_terms(s, pi)[:k]))
+    e = np.exp(shifted)
+    tails = np.cumsum(e[pi][::-1])[::-1]
+    return np.cumsum((shifted[pi] - np.log(tails))[:k]), e, tails
 
 
 def kl_listwise_loss(pred_scores, gold_scores, k: int) -> LossResult:
@@ -131,17 +94,14 @@ def kl_listwise_loss(pred_scores, gold_scores, k: int) -> LossResult:
         raise ValidationError(f"k must be in [1, {n}], got {k}")
 
     pi = np.asarray(rank_descending(gold.tolist()), dtype=np.int64)
-    log_p_gold = np.cumsum(_log_prefix_terms(gold, pi)[:k])
-    log_p_pred = np.cumsum(_log_prefix_terms(pred, pi)[:k])
+    log_p_gold = _log_prefix_probs(gold, pi, k)[0]
+    log_p_pred, e_by_item, tails = _log_prefix_probs(pred, pi, k)
     p_gold = np.exp(log_p_gold)
     value = float(np.sum(p_gold * (log_p_gold - log_p_pred)))
 
     # d log P^j / d s_i = 1{pos(i) < j} - e_i * sum_{m <= min(j-1, pos(i))} 1/T_m
     # with positions along pi, e stabilized by max-subtraction (the shift
     # cancels exactly in each factor, so treating it as constant is exact).
-    shifted = pred - pred.max()
-    e_by_item = np.exp(shifted)
-    tails = np.cumsum(e_by_item[pi][::-1])[::-1]
     inv_tail_cum = np.cumsum(1.0 / tails)  # inv_tail_cum[p] = sum_{m=0..p} 1/T_m
 
     pos = np.empty(n, dtype=np.int64)

@@ -34,7 +34,6 @@ __all__ = [
     "rouge_scores",
     "token_relevances",
     "gold_relevance",
-    "rank_descending",
 ]
 
 # Lowercase alphanumeric runs; underscore is punctuation here, digits kept.
@@ -171,8 +170,3 @@ def token_relevances(candidates: Iterable[TokenSequence], gold_summary: TokenSeq
 def gold_relevance(utterance: str, gold_summary: str) -> float:
     """Relevance label of one utterance text; see token_relevances."""
     return token_relevances([tokenize(utterance)], tokenize(gold_summary))[0]
-
-
-def rank_descending(values) -> list[int]:
-    """Indices sorted by value descending, ties broken by ascending position."""
-    return sorted(range(len(values)), key=lambda i: (-values[i], i))

@@ -28,7 +28,7 @@ import numpy as np
 
 from .corpus import Corpus, QueryInstance, partition_samples
 from .errors import ValidationError
-from .pipeline import PipelineConfig, stage1_pool
+from .pipeline import PipelineConfig, rank_descending, stage1_pool
 from .ranklosses import (
     LossResult,
     bce_locator_loss,
@@ -36,7 +36,7 @@ from .ranklosses import (
     mse_simulator_loss,
     pairwise_margin_loss,
 )
-from .rouge import rank_descending, token_relevances, tokenize
+from .rouge import token_relevances, tokenize
 from .scorer import (
     FEATURE_DIM,
     InstanceStats,

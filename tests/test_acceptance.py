@@ -15,12 +15,7 @@ import pytest
 from uttrank.cli import dispatch
 from uttrank.evaluation import ndcg_at_k, run_comparison, topk_rouge_overlap
 from uttrank.pipeline import PipelineConfig, run_pipeline
-from uttrank.ranklosses import (
-    kl_listwise_loss,
-    pairwise_margin_loss,
-    perm_prob,
-    topk_perm_prob,
-)
+from uttrank.ranklosses import kl_listwise_loss, pairwise_margin_loss
 from uttrank.rouge import lcs_length, rouge_n, tokenize
 from uttrank.scorer import FEATURE_DIM, forward, init_model, instance_features, score_utterances
 from uttrank.synthesis import synth_corpus, synth_splits
@@ -32,6 +27,7 @@ from uttrank.trainer import (
     train_ranker,
     train_reranker,
 )
+from tests.listwise_oracles import perm_prob, topk_perm_prob
 
 
 def _verdict(capsys, number: int, passed: bool, detail: str) -> None:

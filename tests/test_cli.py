@@ -348,6 +348,7 @@ def test_train_rejects_bad_config_values(trained, tmp_path, capsys, flags, key):
         ("gradcheck", ["--objectives", ","], "objectives"),
         ("synth", ["--validation-instances", "-1"], "validation_instances"),
         ("synth", ["--test-instances", "-1"], "test_instances"),
+        ("eval", ["--objectives", ","], "objectives"),
     ],
 )
 def test_bad_values_exit_one_without_traceback(trained, tmp_path, capsys, command, flags, key):
@@ -496,6 +497,27 @@ def test_eval_writes_report(tmp_path, capsys):
     assert (out / "report.txt").exists()
 
 
+def test_eval_rejects_empty_test_split(tmp_path, capsys):
+    corpus = _synth(tmp_path, "c", instances=6, validation_instances=2, test_instances=2)
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    out = tmp_path / "report"
+    code = dispatch(
+        [
+            "eval",
+            "--train-corpus", str(corpus / "train.jsonl"),
+            "--validation-corpus", str(corpus / "validation.jsonl"),
+            "--test-corpus", str(empty),
+            "--out-dir", str(out),
+            "--epochs", "1",
+        ]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'test'" in err
+    assert not (out / "report.json").exists()
+
+
 # ------------------------------------------------------------------ gradcheck
 
 def test_gradcheck_passes_and_writes_json(tmp_path, capsys):
@@ -512,6 +534,13 @@ def test_gradcheck_passes_and_writes_json(tmp_path, capsys):
     payload = json.loads((out / "gradcheck.json").read_text())
     assert payload["mse"]["passed"] and payload["pairwise"]["passed"]
     assert dispatch(["gradcheck", "--objectives", "nonsense"]) == 1
+
+
+def test_gradcheck_runs_a_repeated_objective_once(capsys):
+    assert dispatch(["gradcheck", "--objectives", "pairwise", "--points", "2"]) == 0
+    once = capsys.readouterr().out
+    assert dispatch(["gradcheck", "--objectives", " pairwise,pairwise", "--points", "2"]) == 0
+    assert capsys.readouterr().out == once
 
 
 @pytest.mark.parametrize("points", ["0", "-3"])

@@ -16,10 +16,11 @@ from uttrank.evaluation import (
     run_comparison,
     topk_rouge_overlap,
 )
-from uttrank.pipeline import ExtractionResult, PipelineConfig
+from uttrank.pipeline import ExtractionResult, PipelineConfig, select_topk
 from uttrank.rouge import rouge_l, rouge_n
 from uttrank.synthesis import synth_splits
 from uttrank.trainer import TrainConfig
+from tests.conftest import make_instance
 
 
 # ---------------------------------------------------------------- ndcg_at_k
@@ -164,6 +165,14 @@ def test_overlap_matches_manual_composition():
     # k beyond the selection uses everything
     all_joined = "\n".join(texts)
     assert out[10][0] == rouge_n(all_joined, gold, 1)
+
+
+def test_overlap_of_a_truncated_selection_scores_only_the_generator_input():
+    inst = make_instance(query="q", texts=["alpha beta gamma delta epsilon zeta"], speakers=["a"])
+    ext = select_topk((0,), np.ones(1), inst, top_k=5, token_budget=4)
+    assert ext.truncated and ext.generator_input == "q\n\na: alpha beta"
+    r1, r2, rl = topk_rouge_overlap(ext, "zeta epsilon", k_values=(5,))[5]
+    assert r1.f1 == 0.0 and r2.f1 == 0.0 and rl.f1 == 0.0
 
 
 def test_overlap_rejects_bad_k():

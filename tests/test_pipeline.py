@@ -11,6 +11,7 @@ from uttrank.pipeline import (
     ExtractionResult,
     PipelineConfig,
     pool_candidates,
+    rank_descending,
     run_pipeline,
     select_topk,
     stage1_pool,
@@ -51,6 +52,23 @@ def _linear_model(weights, bias=0.0):
     model = init_model((FEATURE_DIM, 1), seed=0)
     set_flat_params(model, np.concatenate([np.asarray(weights, dtype=float), [bias]]))
     return model
+
+
+# ---------------------------------------------------------- rank_descending
+
+@settings(max_examples=200, deadline=None)
+@given(
+    values=st.lists(st.integers(-3, 3), min_size=1, max_size=30),
+    data=st.data(),
+)
+def test_rank_descending_on_a_subset_filters_the_full_order(values, data):
+    # Few distinct values, so most orders resolve ties by position.
+    n = len(values)
+    subset = data.draw(st.lists(st.integers(0, n - 1), unique=True), label="subset")
+    want = [i for i in rank_descending(values) if i in subset]
+    assert rank_descending(values, subset) == want
+    assert rank_descending(np.array(values, dtype=float), subset) == want
+    assert rank_descending(values, sorted(subset)) == want
 
 
 # -------------------------------------------------------------- stage1_rank
@@ -173,6 +191,15 @@ def test_select_first_utterance_over_budget_truncates():
     assert result.truncated
     assert result.selected_indices == (1,)
     assert len(result.generator_input.split()) <= 20
+    # 5 query tokens and "spk:" leave 14 words of the text, the only ones selected.
+    kept = " ".join(inst.utterances[1].text.split()[:14])
+    assert result.selected_texts == (kept,)
+    assert result.generator_input.endswith("\nspk: " + kept)
+    # A query that fills the budget leaves no text at all.
+    for budget in (3, 5):
+        result = select_topk((1, 0, 2), np.ones(3), inst, top_k=3, token_budget=budget)
+        assert result.truncated and result.selected_texts == ("",)
+        assert result.generator_input == " ".join(inst.query.split()[:budget])
 
 
 def _greedy_oracle(order, inst, top_k, budget):

@@ -10,18 +10,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uttrank.errors import ValidationError
+from uttrank.pipeline import rank_descending
 from uttrank.ranklosses import (
     bce_locator_loss,
     kl_listwise_loss,
     mse_simulator_loss,
     pairwise_margin_loss,
-    perm_prob,
-    rank_descending,
-    topk_distribution,
-    topk_perm_prob,
 )
+from tests.listwise_oracles import perm_prob, topk_distribution, topk_perm_prob
 
 
 def _perm_prob_oracle(scores, pi):
@@ -366,6 +366,27 @@ def test_shift_invariance_of_probabilities():
         assert np.max(np.abs(
             np.asarray(topk_distribution(s, pi, k)) - np.asarray(topk_distribution(s + c, pi, k))
         )) <= 1e-9
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(2, 12),
+    data=st.data(),
+    pred_shift=st.floats(-50.0, 50.0),
+    gold_shift=st.integers(-200, 200),
+)
+def test_kl_invariant_under_shifting_either_side(n, data, pred_shift, gold_shift):
+    pred = np.array(data.draw(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n), label="pred"))
+    # Gold in quarters, shifted by quarters: every sum is exact, so the shift
+    # can neither create nor break a tie in the gold order.
+    quarters = data.draw(st.lists(st.integers(0, 8), min_size=n, max_size=n), label="gold")
+    gold = np.array(quarters) / 4
+    k = data.draw(st.integers(1, n), label="k")
+    base = kl_listwise_loss(pred, gold, k)
+    for moved_pred, moved_gold in ((pred + pred_shift, gold), (pred, gold + gold_shift / 4)):
+        moved = kl_listwise_loss(moved_pred, moved_gold, k)
+        assert abs(moved.value - base.value) <= 1e-9
+        assert np.max(np.abs(moved.grad - base.grad)) <= 1e-9
 
 
 def test_rank_descending_invariant_under_increasing_transform():

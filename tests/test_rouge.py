@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uttrank.pipeline import rank_descending
 from uttrank.rouge import (
     RougeScore,
     gold_relevance,
     lcs_length,
     ngram_counts,
-    rank_descending,
     rouge_l,
     rouge_n,
     rouge_scores,
