@@ -19,7 +19,7 @@ from typing import Iterable
 
 from .errors import CorpusFormatError, ValidationError
 from .fileio import atomic_open
-from .rouge import tokenize
+from .rouge import has_tokens
 
 SPLITS = ("train", "validation", "test")
 
@@ -74,7 +74,7 @@ class QueryInstance:
                     f"instance {self.instance_id!r}: utterance {u.index} has "
                     f"meeting_id {u.meeting_id!r}, expected {self.meeting_id!r}"
                 )
-            if not tokenize(u.text):
+            if not has_tokens(u.text):
                 raise ValidationError(
                     f"instance {self.instance_id!r}: utterance {u.index} has no tokens"
                 )

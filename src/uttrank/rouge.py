@@ -6,27 +6,31 @@ the evaluation harness. No stemming and no stopword removal, so scores are
 deterministic and dependency-free; documented here so results stay comparable
 across runs.
 
-Every score comes from exact integer counts over token lists: _ngram_score
-on n-gram Counters and _lcs_score on the tokens, with a bit-parallel LCS. The string
-functions rouge_n and rouge_l tokenize each side once and call them;
-token_rouge_scores gives all three scores of many candidate token lists
-against one reference, counting its n-grams once, and rouge_scores and the
-relevance labels call it.
+Every score comes from exact integer counts. _ngram_counts is the one n-gram
+kernel: it counts the n-grams of many candidate rows of integer token ids
+against one reference in a single count matrix, and ROUGE-N is the clipped
+overlap of that matrix with the reference's counts. ROUGE-L takes one
+bit-parallel LCS per candidate. token_rouge_scores maps the candidates'
+tokens to ids against the reference and scores them all at once; rouge_l,
+rouge_scores and the relevance labels call it, rouge_n (any n) calls the
+kernel for one pair, and scorer builds its overlap features on the kernel.
 """
 
 from __future__ import annotations
 
 import re
-from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Iterable
+
+import numpy as np
 
 from .errors import ValidationError
 
 __all__ = [
     "RougeScore",
     "tokenize",
-    "ngram_counts",
+    "has_tokens",
     "rouge_n",
     "lcs_length",
     "rouge_l",
@@ -50,48 +54,108 @@ class RougeScore:
     recall: float
     f1: float
 
-    @staticmethod
-    def from_pr(precision: float, recall: float) -> "RougeScore":
-        denom = precision + recall
-        f1 = 2.0 * precision * recall / denom if denom > 0 else 0.0
-        return RougeScore(precision, recall, f1)
-
 
 def tokenize(text: str) -> TokenSequence:
     """Lowercase and split on any non-alphanumeric run."""
     return _TOKEN_RE.findall(text.lower())
 
 
-def ngram_counts(tokens: TokenSequence, n: int) -> Counter:
-    """Multiset of contiguous n-grams; empty when the sequence is shorter than n."""
-    if n < 1:
-        raise ValidationError(f"n-gram order must be >= 1, got {n}")
-    return Counter(zip(*(tokens[i:] for i in range(n))))
+def has_tokens(text: str) -> bool:
+    """Whether tokenize(text) is non-empty, without building the list."""
+    return _TOKEN_RE.search(text.lower()) is not None
 
 
-def _overlap(candidate: Counter, reference: Counter) -> int:
-    """Clipped overlap of two n-gram multisets, walking the smaller one."""
-    if len(candidate) > len(reference):
-        candidate, reference = reference, candidate
-    get = reference.get
-    return sum(min(count, get(gram, 0)) for gram, count in candidate.items())
+def _lookup(vocab: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Position of each non-negative key in the sorted vocab; len(vocab) where absent."""
+    pos = np.searchsorted(vocab, keys)
+    return np.where(np.append(vocab, -1)[pos] == keys, pos, len(vocab))
 
 
-def _ngram_score(cand_counts: Counter, ref_counts: Counter) -> RougeScore:
-    """ROUGE-N from the two n-gram multisets; zero denominators yield zero scores."""
-    overlap = _overlap(cand_counts, ref_counts)
-    cand_total = sum(cand_counts.values())
-    ref_total = sum(ref_counts.values())
-    precision = overlap / cand_total if cand_total else 0.0
-    recall = overlap / ref_total if ref_total else 0.0
-    return RougeScore.from_pr(precision, recall)
+def _ngram_counts(
+    ids: np.ndarray, lengths: np.ndarray, reference: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Count matrix of the candidates' n-grams over the reference's distinct n-grams.
+
+    ids holds the candidate rows of non-negative token ids back to back and
+    lengths their sizes; reference shares the id space. Returns the
+    (rows, K) matrix counting, per row, each of the reference's K distinct
+    n-grams, and the reference's own K counts; n-grams the reference lacks
+    are not counted. An n-gram is coded as its (n-1)-gram's code times the
+    unigram width plus its last token's code, then compacted to its rank
+    among the reference's codes, so keys stay below (len(reference) + 1)**2
+    for every n.
+    """
+    vocab, ref_code = np.unique(reference, return_inverse=True)
+    code = _lookup(vocab, ids)
+    unigram, ref_unigram, width = code, ref_code, len(vocab) + 1
+    for j in range(1, n):
+        vocab, ref_code = np.unique(ref_code[:-1] * width + ref_unigram[j:], return_inverse=True)
+        code = _lookup(vocab, code[:-1] * width + unigram[j:])
+    rows, k = len(lengths), len(vocab)
+    row_of = np.repeat(np.arange(rows), lengths)[: len(code)]
+    # An n-gram counts when it ends inside its own row and the reference holds it.
+    keep = (np.arange(len(code)) + n <= np.cumsum(lengths)[row_of]) & (code < k)
+    counts = np.bincount(row_of[keep] * k + code[keep], minlength=rows * k)
+    return counts.reshape(rows, k), np.bincount(ref_code, minlength=k)
+
+
+def _ratio(numerator: np.ndarray, denominator) -> np.ndarray:
+    """numerator / denominator elementwise, 0.0 where the denominator is 0."""
+    out = np.zeros(len(numerator))
+    return np.divide(numerator, denominator, out=out, where=np.asarray(denominator) > 0)
+
+
+def _prf(overlap: np.ndarray, cand_total: np.ndarray, ref_total: int):
+    """Precision, recall and F1 arrays; zero denominators yield zero scores.
+
+    Each element takes the float operations of a single score, in the same
+    order: p = overlap / cand_total, r = overlap / ref_total and
+    F1 = 2.0 * p * r / (p + r).
+    """
+    precision = _ratio(overlap, cand_total)
+    recall = _ratio(overlap, ref_total)
+    return precision, recall, _ratio(2.0 * precision * recall, precision + recall)
+
+
+def _ngram_prf(
+    counts: np.ndarray, ref_counts: np.ndarray, lengths: np.ndarray, ref_length: int, n: int
+):
+    """ROUGE-N precision, recall and F1 arrays from an _ngram_counts matrix and the token counts."""
+    overlap = np.minimum(counts, ref_counts).sum(axis=1)
+    return _prf(overlap, np.maximum(lengths - (n - 1), 0), max(ref_length - (n - 1), 0))
+
+
+def _rouge_n_prf(ids: np.ndarray, lengths: np.ndarray, reference: np.ndarray, n: int):
+    """ROUGE-N precision, recall and F1 arrays of each candidate row against the reference."""
+    return _ngram_prf(*_ngram_counts(ids, lengths, reference, n), lengths, len(reference), n)
+
+
+def _encode(candidates: list[TokenSequence], reference: TokenSequence):
+    """Token ids of the candidates (back to back, with lengths) and of the reference.
+
+    Ids number the reference's distinct tokens; every other token gets one
+    id the reference does not hold.
+    """
+    vocab = {token: i for i, token in enumerate(dict.fromkeys(reference))}
+    lengths = np.fromiter(map(len, candidates), dtype=np.int64, count=len(candidates))
+    ids = np.fromiter(
+        map(vocab.get, chain.from_iterable(candidates), repeat(len(vocab))),
+        dtype=np.int64,
+        count=int(lengths.sum()),
+    )
+    ref_ids = np.fromiter(map(vocab.__getitem__, reference), dtype=np.int64, count=len(reference))
+    return ids, lengths, ref_ids
+
+
+def _scores(prf) -> list[RougeScore]:
+    return [RougeScore(*triple) for triple in zip(*(part.tolist() for part in prf))]
 
 
 def rouge_n(candidate: str, reference: str, n: int) -> RougeScore:
     """Clipped n-gram overlap; zero denominators yield zero scores."""
-    return _ngram_score(
-        ngram_counts(tokenize(candidate), n), ngram_counts(tokenize(reference), n)
-    )
+    if n < 1:
+        raise ValidationError(f"n-gram order must be >= 1, got {n}")
+    return _scores(_rouge_n_prf(*_encode([tokenize(candidate)], tokenize(reference)), n))[0]
 
 
 def lcs_length(a: TokenSequence, b: TokenSequence) -> int:
@@ -121,35 +185,30 @@ def lcs_length(a: TokenSequence, b: TokenSequence) -> int:
     return len(b) - v.bit_count()
 
 
-def _lcs_score(cand_tokens: TokenSequence, ref_tokens: TokenSequence) -> RougeScore:
-    """ROUGE-L from the two token lists; zero denominators yield zero scores."""
-    lcs = lcs_length(cand_tokens, ref_tokens)
-    precision = lcs / len(cand_tokens) if cand_tokens else 0.0
-    recall = lcs / len(ref_tokens) if ref_tokens else 0.0
-    return RougeScore.from_pr(precision, recall)
-
-
 def rouge_l(candidate: str, reference: str) -> RougeScore:
     """LCS-based ROUGE; zero denominators yield zero scores."""
-    return _lcs_score(tokenize(candidate), tokenize(reference))
+    return rouge_scores([candidate], reference)[0][2]
+
+
+def _rouge_prf(candidates: Iterable[TokenSequence], reference: TokenSequence):
+    """ROUGE-1, ROUGE-2 and ROUGE-L (precision, recall, F1) arrays of the candidates."""
+    candidates = list(candidates)
+    ids, lengths, ref_ids = _encode(candidates, reference)
+    lcs = np.fromiter(
+        (lcs_length(cand, reference) for cand in candidates), dtype=np.int64, count=len(candidates)
+    )
+    return (
+        _rouge_n_prf(ids, lengths, ref_ids, 1),
+        _rouge_n_prf(ids, lengths, ref_ids, 2),
+        _prf(lcs, lengths, len(reference)),
+    )
 
 
 def token_rouge_scores(
     candidates: Iterable[TokenSequence], reference: TokenSequence
 ) -> list[tuple[RougeScore, RougeScore, RougeScore]]:
-    """(ROUGE-1, ROUGE-2, ROUGE-L) of each candidate token list against one reference.
-
-    The reference's n-gram counts are built once for all candidates.
-    """
-    ref1, ref2 = ngram_counts(reference, 1), ngram_counts(reference, 2)
-    return [
-        (
-            _ngram_score(ngram_counts(cand, 1), ref1),
-            _ngram_score(ngram_counts(cand, 2), ref2),
-            _lcs_score(cand, reference),
-        )
-        for cand in candidates
-    ]
+    """(ROUGE-1, ROUGE-2, ROUGE-L) of each candidate token list against one reference."""
+    return list(zip(*map(_scores, _rouge_prf(candidates, reference))))
 
 
 def rouge_scores(candidates, reference: str) -> list[tuple[RougeScore, RougeScore, RougeScore]]:
@@ -163,8 +222,8 @@ def token_relevances(candidates: Iterable[TokenSequence], gold_summary: TokenSeq
     The mean of the three reported metrics is the least arbitrary composite
     and matches how extractors are scored on all three downstream.
     """
-    scores = token_rouge_scores(candidates, gold_summary)
-    return [(r1.f1 + r2.f1 + rl.f1) / 3.0 for r1, r2, rl in scores]
+    (_, _, f1), (_, _, f2), (_, _, fl) = _rouge_prf(candidates, gold_summary)
+    return ((f1 + f2 + fl) / 3.0).tolist()
 
 
 def gold_relevance(utterance: str, gold_summary: str) -> float:

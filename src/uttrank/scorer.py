@@ -1,8 +1,11 @@
 """Differentiable query-relevance scoring.
 
-InstanceStats.from_instance tokenizes an instance's texts once and builds what
-every feature row reads; instance_features builds the whole matrix from it, and
-featurize one row with the same row code.
+InstanceStats.from_instance tokenizes an instance's texts once and maps the
+tokens to integer ids. instance_features computes every column for all rows at
+once from the ROUGE kernel's count matrix against the query; featurize is the
+one-row call of the same function. The tf-idf sums are laid into zero-padded
+matrices and added left to right, and squares use Python's float power, so
+each value equals a per-row loop over Counters bit for bit.
 
 A small feed-forward model over hand-built (query, utterance) features stands
 in for a pretrained cross-encoder: the ranking losses are agnostic to the
@@ -24,16 +27,17 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
+from typing import Callable, Iterable
 
 import numpy as np
 
 from .corpus import QueryInstance, Utterance
 from .errors import ValidationError
 from .fileio import atomic_open
-from .rouge import _ngram_score, ngram_counts, tokenize
+from .rouge import _ngram_counts, _ngram_prf, _ratio, tokenize
 
 FEATURE_NAMES = (
     "query_unigram_f1",
@@ -85,98 +89,147 @@ def _idf(n_utterances: int, doc_freq: int) -> float:
     return math.log((1 + n_utterances) / (1 + doc_freq)) + 1.0
 
 
-@dataclass(frozen=True)
-class _QueryTerms:
-    """What every feature row reads of a query.
+def _left_to_right(terms: np.ndarray) -> np.ndarray:
+    """Sum of each row of terms, added left to right from 0, as CPython 3.11's sum adds.
 
-    counts is the token Counter, whose keys are the token set; content lists
-    the distinct non-stopword tokens.
+    np.cumsum accumulates in order along a row, where @ and .sum() may pair
+    terms up and round differently. Zero padding leaves a sum unchanged.
     """
+    return np.cumsum(np.hstack([np.zeros((len(terms), 1)), terms]), axis=1)[:, -1]
 
-    counts: Counter
-    bigrams: Counter
-    content: list[str]
 
-    @staticmethod
-    def from_text(query: str) -> "_QueryTerms":
-        tokens = tokenize(query)
-        counts = Counter(tokens)
-        # A query of stopwords only falls back to all of its tokens.
-        content = [t for t in counts if t not in STOPWORDS] or list(counts)
-        return _QueryTerms(counts=counts, bigrams=ngram_counts(tokens, 2), content=content)
+def _squares(values: np.ndarray) -> np.ndarray:
+    """values ** 2 with Python's float power, which can round unlike values * values."""
+    distinct, inverse = np.unique(values, return_inverse=True)
+    return np.array([v**2 for v in distinct.tolist()], dtype=np.float64)[inverse]
+
+
+def _token_ids(vocab: dict[str, int], tokens: Iterable[str], count: int) -> np.ndarray:
+    return np.fromiter(map(vocab.__getitem__, tokens), dtype=np.int64, count=count)
+
+
+def _row_terms(ids: np.ndarray, lengths: np.ndarray, width: int):
+    """Each row's distinct ids and their counts: rows in order, ids in first-occurrence order."""
+    row_of = np.repeat(np.arange(len(lengths)), lengths)
+    keys, first, counts = np.unique(row_of * width + ids, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    keys = keys[order]
+    return keys // width, keys % width, counts[order]
+
+
+def _norms(
+    rows: np.ndarray, ids: np.ndarray, counts: np.ndarray, idf: np.ndarray, n_rows: int
+) -> np.ndarray:
+    """Length of each row's tf-idf vector, its squared terms summed in the given order."""
+    per_row = np.bincount(rows, minlength=n_rows)
+    grid = np.zeros((n_rows, int(per_row.max(initial=0))))
+    column = np.arange(len(rows)) - (np.cumsum(per_row) - per_row)[rows]
+    grid[rows, column] = _squares(counts * idf[ids])
+    return np.sqrt(_left_to_right(grid))
 
 
 @dataclass(frozen=True)
 class InstanceStats:
-    """An instance's texts, each tokenized once, and what its feature rows read.
+    """An instance's texts, each tokenized once, as integer token ids, and what its rows read.
 
-    Holds the query terms, the utterance and speaker tokens, and the smoothed
-    idf of every token they hold. Built per use: prepared instances keep only
-    the feature matrix.
+    Ids number the distinct tokens of the query, then of the utterances, in
+    first-occurrence order, so the query's k distinct tokens hold ids 0..k-1
+    in query order. utterance_ids holds the utterances' ids back to back and
+    lengths their token counts; row_terms lists each utterance's distinct ids
+    in first-occurrence order as (row, id, count) arrays. idf_by_id is each
+    id's smoothed idf. Built per use: prepared instances keep only the
+    feature matrix.
     """
 
     n_utterances: int
-    idf_table: dict[str, float]
-    query: _QueryTerms
+    vocab: dict[str, int]
+    idf_by_id: np.ndarray
+    query_ids: np.ndarray
+    content_ids: np.ndarray
     utterance_tokens: tuple[list[str], ...]
-    speaker_tokens: tuple[list[str], ...]
+    utterance_ids: np.ndarray
+    lengths: np.ndarray
+    row_terms: tuple[np.ndarray, np.ndarray, np.ndarray]
+    indices: np.ndarray
+    speaker_hits: np.ndarray
 
     @staticmethod
     def from_instance(instance: QueryInstance) -> "InstanceStats":
         utterance_tokens = tuple(tokenize(u.text) for u in instance.utterances)
-        n = len(utterance_tokens)
-        doc_freq: Counter = Counter()
-        for tokens in utterance_tokens:
-            doc_freq.update(set(tokens))
-        query = _QueryTerms.from_text(instance.query)
-        return InstanceStats(
-            n_utterances=n,
-            idf_table={t: _idf(n, doc_freq[t]) for t in [*doc_freq, *query.counts]},
-            query=query,
-            utterance_tokens=utterance_tokens,
-            speaker_tokens=tuple(tokenize(u.speaker) for u in instance.utterances),
+        return _build_stats(
+            tokenize(instance.query), instance.utterances, utterance_tokens, len(utterance_tokens)
         )
 
     def idf(self, token: str) -> float:
         """Smoothed idf; a token no utterance holds has document frequency 0."""
-        if token in self.idf_table:
-            return self.idf_table[token]
+        if token in self.vocab:
+            return float(self.idf_by_id[self.vocab[token]])
         return _idf(self.n_utterances, 0)
 
 
-def _feature_row(
-    query: _QueryTerms,
-    index: int,
-    utt_tokens: list[str],
-    speaker_tokens: list[str],
-    stats: InstanceStats,
-) -> list[float]:
-    """The features of one utterance, in FEATURE_NAMES order."""
-    counts = Counter(utt_tokens)
-    idf = stats.idf
-    # tf-idf cosine (Salton & Buckley 1988), walking the query in token order.
-    dot = 0.0
-    for token, q_count in query.counts.items():
-        if token in counts:
-            w = idf(token)
-            dot += (q_count * w) * (counts[token] * w)
-    if dot == 0.0:
-        cosine = 0.0
+def _build_stats(
+    query_tokens: list[str],
+    utterances: tuple[Utterance, ...],
+    utterance_tokens: tuple[list[str], ...],
+    n_utterances: int,
+    idf: Callable[[str], float] | None = None,
+) -> InstanceStats:
+    """InstanceStats of tokenized utterances; idf defaults to their own document frequencies."""
+    query_terms = dict.fromkeys(query_tokens)
+    vocab = {t: i for i, t in enumerate(dict.fromkeys(chain(query_terms, *utterance_tokens)))}
+    lengths = np.fromiter(map(len, utterance_tokens), dtype=np.int64, count=len(utterance_tokens))
+    ids = _token_ids(vocab, chain.from_iterable(utterance_tokens), int(lengths.sum()))
+    row_terms = _row_terms(ids, lengths, len(vocab))
+    if idf is None:
+        table = np.array([_idf(n_utterances, d) for d in range(n_utterances + 1)])
+        idf_by_id = table[np.bincount(row_terms[1], minlength=len(vocab))]
     else:
-        qn = math.sqrt(sum((c * idf(t)) ** 2 for t, c in query.counts.items()))
-        un = math.sqrt(sum((c * idf(t)) ** 2 for t, c in counts.items()))
-        cosine = dot / (qn * un)
-    n = stats.n_utterances
-    content = query.content
-    return [
-        _ngram_score(counts, query.counts).f1,
-        _ngram_score(ngram_counts(utt_tokens, 2), query.bigrams).f1,
-        cosine,
-        min(len(utt_tokens) / 100.0, 1.0),
-        index / (n - 1) if n > 1 else 0.0,
-        sum(1 for t in content if t in counts) / len(content) if content else 0.0,
-        1.0 if any(t in query.counts for t in speaker_tokens) else 0.0,
+        idf_by_id = np.array([idf(t) for t in vocab], dtype=np.float64)
+    # A query of stopwords only falls back to all of its tokens.
+    content = [i for i, t in enumerate(query_terms) if t not in STOPWORDS]
+    content = content or list(range(len(query_terms)))
+    # Each distinct speaker is tokenized once.
+    speakers = dict.fromkeys(u.speaker for u in utterances)
+    hits = {s: any(t in query_terms for t in tokenize(s)) for s in speakers}
+    query_ids = _token_ids(vocab, query_tokens, len(query_tokens))
+    return InstanceStats(
+        n_utterances=n_utterances,
+        vocab=vocab,
+        idf_by_id=idf_by_id,
+        query_ids=query_ids,
+        content_ids=np.array(content, dtype=np.int64),
+        utterance_tokens=utterance_tokens,
+        utterance_ids=ids,
+        lengths=lengths,
+        row_terms=row_terms,
+        indices=np.fromiter((u.index for u in utterances), dtype=np.int64, count=len(utterances)),
+        speaker_hits=np.array([1.0 if hits[u.speaker] else 0.0 for u in utterances]),
+    )
+
+
+def _features(stats: InstanceStats) -> np.ndarray:
+    """The (rows, FEATURE_DIM) feature matrix of stats' utterances; see featurize."""
+    ids, lengths, query = stats.utterance_ids, stats.lengths, stats.query_ids
+    # counts[i, j]: occurrences of query term j (id j) in utterance i.
+    counts, query_counts = _ngram_counts(ids, lengths, query, 1)
+    k = len(query_counts)
+    idf = stats.idf_by_id
+    # tf-idf cosine (Salton & Buckley 1988): the dot and the query norm walk
+    # the query in token order, each utterance norm its own tokens.
+    dot = _left_to_right((query_counts * idf[:k]) * (counts * idf[:k]))
+    query_norm = _norms(np.zeros(k, dtype=np.int64), np.arange(k), query_counts, idf, 1)
+    utterance_norms = _norms(*stats.row_terms, idf, len(lengths))
+    present = (counts[:, stats.content_ids] > 0).sum(axis=1)
+    columns = [
+        _ngram_prf(counts, query_counts, lengths, len(query), 1)[2],
+        _ngram_prf(*_ngram_counts(ids, lengths, query, 2), lengths, len(query), 2)[2],
+        _ratio(dot, query_norm * utterance_norms),
+        np.minimum(lengths / 100.0, 1.0),
+        _ratio(stats.indices, stats.n_utterances - 1),
+        _ratio(present, len(stats.content_ids)),
+        stats.speaker_hits,
     ]
+    return np.stack(columns, axis=1)
 
 
 def featurize(query: str, utterance: Utterance, stats: InstanceStats) -> np.ndarray:
@@ -186,32 +239,23 @@ def featurize(query: str, utterance: Utterance, stats: InstanceStats) -> np.ndar
     tf-idf cosine similarity, utterance token count / 100 capped at 1,
     relative transcript position, fraction of query content words present,
     and a speaker-mentioned-in-query indicator. Tokenizes only its own
-    arguments; instance_features computes the same rows from stats.
+    arguments and reads stats' idf and utterance count; it is the one-row
+    call of what instance_features computes for every row.
     """
-    row = _feature_row(
-        _QueryTerms.from_text(query),
-        utterance.index,
-        tokenize(utterance.text),
-        tokenize(utterance.speaker),
-        stats,
+    one = _build_stats(
+        tokenize(query), (utterance,), (tokenize(utterance.text),), stats.n_utterances, stats.idf
     )
-    return np.array(row, dtype=np.float64)
+    return _features(one)[0]
 
 
 def instance_features(instance: QueryInstance, stats: InstanceStats | None = None) -> np.ndarray:
     """Feature matrix (n_utterances, FEATURE_DIM) of one instance, a featurize row per utterance.
 
-    The rows read the tokens in stats, built here when not given.
+    The rows read the token ids in stats, built here when not given.
     """
     if stats is None:
         stats = InstanceStats.from_instance(instance)
-    rows = [
-        _feature_row(stats.query, u.index, tokens, speaker, stats)
-        for u, tokens, speaker in zip(
-            instance.utterances, stats.utterance_tokens, stats.speaker_tokens
-        )
-    ]
-    return np.array(rows, dtype=np.float64)
+    return _features(stats)
 
 
 @dataclass

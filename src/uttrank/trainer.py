@@ -1,7 +1,8 @@
 """Training loops for the ranking objectives, plus the gradient checker.
 
-prepare_corpus tokenizes each instance once for its features and gold labels;
-every train_* function takes the prepared instances first.
+prepare_corpus tokenizes each instance once for its features and gold labels,
+both computed for all of an instance's utterances at once from integer count
+matrices; every train_* function takes the prepared instances first.
 
 All four objectives train through one loop. train_ranker (pairwise) and
 train_baseline (bce, mse) make one unit per partition_samples window;

@@ -56,6 +56,23 @@ def _linear_model(weights, bias=0.0):
 
 # ---------------------------------------------------------- rank_descending
 
+def test_rank_descending_fixture():
+    assert rank_descending([0.2, 0.9, 0.5]) == [1, 2, 0]
+
+
+def test_rank_descending_ties_keep_transcript_order():
+    assert rank_descending([0.5, 0.5, 0.5, 0.5]) == [0, 1, 2, 3]
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.sampled_from([0.0, 0.25, 0.5, -1.0]), max_size=40))
+def test_rank_descending_stable_under_ties(values):
+    order = rank_descending(values)
+    assert sorted(order) == list(range(len(values)))
+    for i, j in zip(order, order[1:]):
+        assert values[i] > values[j] or (values[i] == values[j] and i < j)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     values=st.lists(st.integers(-3, 3), min_size=1, max_size=30),

@@ -8,16 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uttrank.pipeline import rank_descending
+from tests import counter_oracles
+from tests.counter_oracles import ngram_counts
+from uttrank.errors import ValidationError
 from uttrank.rouge import (
     RougeScore,
     gold_relevance,
+    has_tokens,
     lcs_length,
-    ngram_counts,
     rouge_l,
     rouge_n,
     rouge_scores,
     token_relevances,
+    token_rouge_scores,
     tokenize,
 )
 
@@ -40,7 +43,13 @@ def test_tokenize_keeps_digits():
     assert tokenize("room 42, 9am") == ["room", "42", "9am"]
 
 
-# ------------------------------------------------------------ ngram_counts
+@settings(max_examples=300, deadline=None)
+@given(text=st.text())
+def test_has_tokens_iff_tokenize_nonempty(text):
+    assert has_tokens(text) == (tokenize(text) != [])
+
+
+# ------------------------------------------------- ngram_counts (the oracle)
 
 def test_unigram_counts():
     assert ngram_counts(["a", "b", "a"], 1) == {("a",): 2, ("b",): 1}
@@ -57,6 +66,11 @@ def test_ngram_counts_short_input():
 def test_ngram_counts_rejects_zero():
     with pytest.raises(Exception):
         ngram_counts(["a"], 0)
+
+
+def test_rouge_n_rejects_zero():
+    with pytest.raises(ValidationError):
+        rouge_n("a", "a", 0)
 
 
 # ----------------------------------------------------------------- rouge_n
@@ -302,25 +316,44 @@ def test_batch_scores_equal_per_text_scores(candidates, reference):
         assert label == (r1.f1 + r2.f1 + rl.f1) / 3
 
 
-# ---------------------------------------------------------- rank_descending
-
-def test_rank_descending_fixture():
-    assert rank_descending([0.2, 0.9, 0.5]) == [1, 2, 0]
-
-
-def test_rank_descending_ties_keep_transcript_order():
-    assert rank_descending([0.5, 0.5, 0.5, 0.5]) == [0, 1, 2, 3]
-
-
-@settings(max_examples=200, deadline=None)
-@given(values=st.lists(st.sampled_from([0.0, 0.25, 0.5, -1.0]), max_size=40))
-def test_rank_descending_stable_under_ties(values):
-    order = rank_descending(values)
-    assert sorted(order) == list(range(len(values)))
-    for i, j in zip(order, order[1:]):
-        assert values[i] > values[j] or (values[i] == values[j] and i < j)
-
-
 def test_rouge_score_f1_invariant():
     s = RougeScore(precision=0.5, recall=0.25, f1=2 * 0.5 * 0.25 / 0.75)
     assert s.f1 == pytest.approx(1 / 3)
+
+
+# ------------------------------------------------ count matrices vs Counters
+
+# A few repeated words, so n-grams repeat and clipping runs, plus the rest
+# of a vocabulary of 10**4 words, so V**5 > 2**63 for n = 5.
+_VOCAB = 10**4
+_big_vocab_texts = st.lists(
+    st.one_of(st.integers(0, 3), st.integers(0, _VOCAB - 1)).map("w{}".format), max_size=30
+).map(" ".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(candidate=_big_vocab_texts, reference=_big_vocab_texts, n=st.integers(1, 5))
+def test_rouge_n_equals_counter_oracle(candidate, reference, n):
+    assert _VOCAB**5 > 2**63
+    assert rouge_n(candidate, reference, n) == counter_oracles.rouge_n(candidate, reference, n)
+
+
+_oracle_texts = st.one_of(
+    _texts,
+    st.sampled_from(["?!", "", "cat", "cat cat cat", "the cat the cat the"]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(candidates=st.lists(_oracle_texts, max_size=8), reference=_oracle_texts)
+def test_batch_rouge_n_equals_counter_oracle(candidates, reference):
+    triples = rouge_scores(candidates, reference)
+    assert len(triples) == len(candidates)
+    for text, (r1, r2, _) in zip(candidates, triples):
+        assert r1 == counter_oracles.rouge_n(text, reference, 1)
+        assert r2 == counter_oracles.rouge_n(text, reference, 2)
+
+
+def test_no_candidates_score_nothing():
+    assert token_rouge_scores([], ["a", "b"]) == []
+    assert token_relevances([], ["a", "b"]) == []

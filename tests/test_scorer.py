@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uttrank.corpus import Utterance
+from uttrank import scorer
 from uttrank.errors import ValidationError
 from uttrank.rouge import rouge_n, tokenize
 from uttrank.scorer import (
@@ -30,6 +31,7 @@ from uttrank.scorer import (
     score_utterances,
     set_flat_params,
 )
+from tests import counter_oracles
 from tests.conftest import make_instance
 
 
@@ -162,6 +164,36 @@ def test_featurize_equals_string_formula(query, texts, speakers):
         want = _featurize_from_strings(instance.query, utterance, stats).tolist()
         assert featurize(instance.query, utterance, stats).tolist() == want
         assert row == want
+
+
+_STOP_QUERIES = ["the", "what did the", "?!", ""]
+_oracle_texts = st.one_of(
+    _texts,
+    st.sampled_from(_WORDS),  # one token: no bigram
+    st.lists(st.sampled_from(_WORDS[:3]), min_size=2, max_size=12).map(" ".join),  # repeats
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    query=st.one_of(_oracle_texts, st.sampled_from(_STOP_QUERIES)),
+    texts=st.lists(_oracle_texts, min_size=1, max_size=8),
+    speakers=st.lists(st.sampled_from(["alice", "bob", "Carol-Ann", "", "?!"]), min_size=1, max_size=3),
+)
+def test_features_equal_counter_oracle(query, texts, speakers):
+    instance = make_instance(query=query, texts=texts, speakers=speakers)
+    stats = _stats(instance)
+    want = counter_oracles.feature_rows(instance.query, instance.utterances, stats)
+    assert instance_features(instance, stats).tolist() == want
+    for utterance, row in zip(instance.utterances, want):
+        assert featurize(instance.query, utterance, stats).tolist() == row
+
+
+def test_tfidf_squares_use_python_power():
+    # C pow(x, 2) and x * x round this value apart; the features keep pow.
+    x = 33.952794612593195
+    assert x**2 != x * x
+    assert scorer._squares(np.array([x, 2.0, x])).tolist() == [x**2, 4.0, x**2]
 
 
 # ------------------------------------------------------------- init_model

@@ -1,5 +1,6 @@
 """Training loops, objective assemblies, and the gradient-check utility."""
 
+import hashlib
 import logging
 import math
 from dataclasses import replace
@@ -22,7 +23,7 @@ from uttrank.scorer import (
     instance_features,
     num_params,
 )
-from uttrank.synthesis import synth_corpus
+from uttrank.synthesis import synth_corpus, synth_splits
 from uttrank.trainer import (
     LossAssembly,
     TrainConfig,
@@ -98,6 +99,18 @@ def test_prepared_instances_equal_string_oracles(meetings):
         assert prep.relevance.tolist() == [
             gold_relevance(u.text, inst.gold_summary) for u in inst.utterances
         ]
+
+
+def test_prepared_data_digest():
+    # Literals taken from the Counter-based featurization and labelling this
+    # array code replaced: any low-bit drift in a feature or label moves them.
+    features, relevance = hashlib.sha256(), hashlib.sha256()
+    for corpus in synth_splits(5, 0, 3, seed=12, n_utterances=30).values():
+        for prep in prepare_corpus(corpus):
+            features.update(prep.features.tobytes())
+            relevance.update(prep.relevance.tobytes())
+    assert features.hexdigest() == "b90a09240f0d6f18f99696516f9910e7f33a156a2d054bba3cdc9e9b0a648d34"
+    assert relevance.hexdigest() == "ba9bd4855b61364bd9dc16293bbbab929da14a738e2d8639f6987332ab975970"
 
 
 # ----------------------------------------------------------- locator labels
