@@ -109,15 +109,21 @@ _TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number", str:
 def _typed(key: str, value, default):
     """value as the type of default; a ValidationError naming key if it has another type.
 
-    A float default also takes an integer, as JSON does not tell 1 from 1.0.
+    A float default also takes an integer, as JSON does not tell 1 from 1.0,
+    and rejects nan and infinities, which both float() and Python's json accept.
     """
     kind = type(default)
     if kind is tuple:
         if isinstance(value, (list, tuple)) and all(type(x) is int for x in value):
             return tuple(value)
         expected = "a list of integers"
-    elif type(value) is kind or (kind is float and type(value) is int):
-        return kind(value)
+    elif kind is float and type(value) in (int, float):
+        # nan fails every comparison; an integer past the float range has no float.
+        if abs(value) <= sys.float_info.max:
+            return float(value)
+        expected = "a finite number"
+    elif type(value) is kind:
+        return value
     else:
         expected = _TYPE_NAMES[kind]
     raise ValidationError(f"config key {key!r} must be {expected}, got {value!r}")
@@ -293,6 +299,14 @@ def _rouge_pairs(args: argparse.Namespace) -> list[tuple[str, str]]:
     raise ValidationError("rouge needs either --pairs TSV or both --candidate and --reference")
 
 
+def _sum_in_order(values) -> float:
+    """values added left to right from 0.0; the builtin sum compensates floats from Python 3.12."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def _cmd_rouge(args: argparse.Namespace) -> int:
     pairs = _rouge_pairs(args)
     rows = []
@@ -303,7 +317,7 @@ def _cmd_rouge(args: argparse.Namespace) -> int:
         )
     mean = {
         name: {
-            part: sum(r[name][part] for r in rows) / len(rows)
+            part: _sum_in_order(r[name][part] for r in rows) / len(rows)
             for part in ("precision", "recall", "f1")
         }
         for name in ("rouge1", "rouge2", "rougeL")

@@ -3,9 +3,9 @@
 InstanceStats.from_instance tokenizes an instance's texts once and maps the
 tokens to integer ids. instance_features computes every column for all rows at
 once from the ROUGE kernel's count matrix against the query; featurize is the
-one-row call of the same function. The tf-idf sums are laid into zero-padded
-matrices and added left to right, and squares use Python's float power, so
-each value equals a per-row loop over Counters bit for bit.
+one-row call of the same function. Each tf-idf sum goes through np.bincount,
+which adds a row's terms in input order starting from 0.0, and squares are the
+product w * w, so each value equals a per-row loop over Counters bit for bit.
 
 A small feed-forward model over hand-built (query, utterance) features stands
 in for a pretrained cross-encoder: the ranking losses are agnostic to the
@@ -27,10 +27,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -89,21 +89,6 @@ def _idf(n_utterances: int, doc_freq: int) -> float:
     return math.log((1 + n_utterances) / (1 + doc_freq)) + 1.0
 
 
-def _left_to_right(terms: np.ndarray) -> np.ndarray:
-    """Sum of each row of terms, added left to right from 0, as CPython 3.11's sum adds.
-
-    np.cumsum accumulates in order along a row, where @ and .sum() may pair
-    terms up and round differently. Zero padding leaves a sum unchanged.
-    """
-    return np.cumsum(np.hstack([np.zeros((len(terms), 1)), terms]), axis=1)[:, -1]
-
-
-def _squares(values: np.ndarray) -> np.ndarray:
-    """values ** 2 with Python's float power, which can round unlike values * values."""
-    distinct, inverse = np.unique(values, return_inverse=True)
-    return np.array([v**2 for v in distinct.tolist()], dtype=np.float64)[inverse]
-
-
 def _token_ids(vocab: dict[str, int], tokens: Iterable[str], count: int) -> np.ndarray:
     return np.fromiter(map(vocab.__getitem__, tokens), dtype=np.int64, count=count)
 
@@ -117,15 +102,9 @@ def _row_terms(ids: np.ndarray, lengths: np.ndarray, width: int):
     return keys // width, keys % width, counts[order]
 
 
-def _norms(
-    rows: np.ndarray, ids: np.ndarray, counts: np.ndarray, idf: np.ndarray, n_rows: int
-) -> np.ndarray:
-    """Length of each row's tf-idf vector, its squared terms summed in the given order."""
-    per_row = np.bincount(rows, minlength=n_rows)
-    grid = np.zeros((n_rows, int(per_row.max(initial=0))))
-    column = np.arange(len(rows)) - (np.cumsum(per_row) - per_row)[rows]
-    grid[rows, column] = _squares(counts * idf[ids])
-    return np.sqrt(_left_to_right(grid))
+def _norms(rows: np.ndarray, weights: np.ndarray, n_rows: int) -> np.ndarray:
+    """Length of each row's vector of weights, its squares added in the given order."""
+    return np.sqrt(np.bincount(rows, weights=weights * weights, minlength=n_rows))
 
 
 @dataclass(frozen=True)
@@ -156,9 +135,7 @@ class InstanceStats:
     @staticmethod
     def from_instance(instance: QueryInstance) -> "InstanceStats":
         utterance_tokens = tuple(tokenize(u.text) for u in instance.utterances)
-        return _build_stats(
-            tokenize(instance.query), instance.utterances, utterance_tokens, len(utterance_tokens)
-        )
+        return _build_stats(tokenize(instance.query), instance.utterances, utterance_tokens)
 
     def idf(self, token: str) -> float:
         """Smoothed idf; a token no utterance holds has document frequency 0."""
@@ -171,20 +148,15 @@ def _build_stats(
     query_tokens: list[str],
     utterances: tuple[Utterance, ...],
     utterance_tokens: tuple[list[str], ...],
-    n_utterances: int,
-    idf: Callable[[str], float] | None = None,
 ) -> InstanceStats:
-    """InstanceStats of tokenized utterances; idf defaults to their own document frequencies."""
+    """InstanceStats of tokenized utterances, idf from their own document frequencies."""
     query_terms = dict.fromkeys(query_tokens)
     vocab = {t: i for i, t in enumerate(dict.fromkeys(chain(query_terms, *utterance_tokens)))}
     lengths = np.fromiter(map(len, utterance_tokens), dtype=np.int64, count=len(utterance_tokens))
     ids = _token_ids(vocab, chain.from_iterable(utterance_tokens), int(lengths.sum()))
     row_terms = _row_terms(ids, lengths, len(vocab))
-    if idf is None:
-        table = np.array([_idf(n_utterances, d) for d in range(n_utterances + 1)])
-        idf_by_id = table[np.bincount(row_terms[1], minlength=len(vocab))]
-    else:
-        idf_by_id = np.array([idf(t) for t in vocab], dtype=np.float64)
+    n_utterances = len(utterance_tokens)
+    table = np.array([_idf(n_utterances, d) for d in range(n_utterances + 1)])
     # A query of stopwords only falls back to all of its tokens.
     content = [i for i, t in enumerate(query_terms) if t not in STOPWORDS]
     content = content or list(range(len(query_terms)))
@@ -195,7 +167,7 @@ def _build_stats(
     return InstanceStats(
         n_utterances=n_utterances,
         vocab=vocab,
-        idf_by_id=idf_by_id,
+        idf_by_id=table[np.bincount(row_terms[1], minlength=len(vocab))],
         query_ids=query_ids,
         content_ids=np.array(content, dtype=np.int64),
         utterance_tokens=utterance_tokens,
@@ -212,13 +184,16 @@ def _features(stats: InstanceStats) -> np.ndarray:
     ids, lengths, query = stats.utterance_ids, stats.lengths, stats.query_ids
     # counts[i, j]: occurrences of query term j (id j) in utterance i.
     counts, query_counts = _ngram_counts(ids, lengths, query, 1)
-    k = len(query_counts)
+    n, k = counts.shape
     idf = stats.idf_by_id
     # tf-idf cosine (Salton & Buckley 1988): the dot and the query norm walk
     # the query in token order, each utterance norm its own tokens.
-    dot = _left_to_right((query_counts * idf[:k]) * (counts * idf[:k]))
-    query_norm = _norms(np.zeros(k, dtype=np.int64), np.arange(k), query_counts, idf, 1)
-    utterance_norms = _norms(*stats.row_terms, idf, len(lengths))
+    query_weights = query_counts * idf[:k]
+    terms = query_weights * (counts * idf[:k])
+    dot = np.bincount(np.repeat(np.arange(n), k), weights=terms.ravel(), minlength=n)
+    query_norm = _norms(np.zeros(k, dtype=np.int64), query_weights, 1)
+    rows, term_ids, term_counts = stats.row_terms
+    utterance_norms = _norms(rows, term_counts * idf[term_ids], n)
     present = (counts[:, stats.content_ids] > 0).sum(axis=1)
     columns = [
         _ngram_prf(counts, query_counts, lengths, len(query), 1)[2],
@@ -242,10 +217,9 @@ def featurize(query: str, utterance: Utterance, stats: InstanceStats) -> np.ndar
     arguments and reads stats' idf and utterance count; it is the one-row
     call of what instance_features computes for every row.
     """
-    one = _build_stats(
-        tokenize(query), (utterance,), (tokenize(utterance.text),), stats.n_utterances, stats.idf
-    )
-    return _features(one)[0]
+    one = _build_stats(tokenize(query), (utterance,), (tokenize(utterance.text),))
+    idf_by_id = np.array([stats.idf(t) for t in one.vocab], dtype=np.float64)
+    return _features(replace(one, idf_by_id=idf_by_id, n_utterances=stats.n_utterances))[0]
 
 
 def instance_features(instance: QueryInstance, stats: InstanceStats | None = None) -> np.ndarray:

@@ -18,6 +18,7 @@ Everything is a pure function of the seed.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -126,8 +127,8 @@ def synth_corpus(
         raise ValidationError(f"n_instances must be >= 1, got {n_instances}")
     if n_utterances < 2:
         raise ValidationError(f"n_utterances must be >= 2, got {n_utterances}")
-    if noise < 0:
-        raise ValidationError(f"noise must be >= 0, got {noise}")
+    if not 0 <= noise < math.inf:
+        raise ValidationError(f"noise must be finite and >= 0, got {noise}")
     if not 2 <= min_tokens <= max_tokens:
         raise ValidationError(
             f"need 2 <= min_tokens <= max_tokens, got {min_tokens}..{max_tokens}"

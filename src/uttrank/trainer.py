@@ -92,8 +92,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.objective not in OBJECTIVES:
             raise ValidationError(f"unknown objective {self.objective!r}, expected one of {OBJECTIVES}")
-        if self.learning_rate <= 0:
-            raise ValidationError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValidationError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if not 0 <= self.base_margin < math.inf:
+            raise ValidationError(f"base_margin must be finite and >= 0, got {self.base_margin}")
         if self.epochs < 1:
             raise ValidationError(f"epochs must be >= 1, got {self.epochs}")
         if self.seed < 0:

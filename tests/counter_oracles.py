@@ -3,7 +3,7 @@
 The array code in uttrank.rouge and uttrank.scorer must equal these bit for
 bit: ngram_counts/_ngram_score is ROUGE-N over n-gram multisets, and
 feature_row builds one utterance's features by walking Counters in
-first-occurrence order with Python float arithmetic.
+first-occurrence order with Python float arithmetic, adding left to right.
 """
 
 import math
@@ -46,6 +46,18 @@ def rouge_n(candidate: str, reference: str, n: int) -> RougeScore:
     return _ngram_score(ngram_counts(tokenize(candidate), n), ngram_counts(tokenize(reference), n))
 
 
+def sum_of_squares(weights) -> float:
+    """Sum of w * w over weights, added left to right from 0.0.
+
+    An explicit loop, because the builtin sum of floats compensates its
+    rounding from Python 3.12 on.
+    """
+    acc = 0.0
+    for w in weights:
+        acc += w * w
+    return acc
+
+
 @dataclass(frozen=True)
 class _QueryTerms:
     """What every feature row reads of a query.
@@ -86,8 +98,8 @@ def _feature_row(
     if dot == 0.0:
         cosine = 0.0
     else:
-        qn = math.sqrt(sum((c * idf(t)) ** 2 for t, c in query.counts.items()))
-        un = math.sqrt(sum((c * idf(t)) ** 2 for t, c in counts.items()))
+        qn = math.sqrt(sum_of_squares(c * idf(t) for t, c in query.counts.items()))
+        un = math.sqrt(sum_of_squares(c * idf(t) for t, c in counts.items()))
         cosine = dot / (qn * un)
     n = stats.n_utterances
     content = query.content

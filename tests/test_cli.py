@@ -303,6 +303,9 @@ def test_config_file_rejects_unknown_keys(trained):
         ("epochs", None),
         ("sample_size", 1.5),
         ("locator_use_spans", "false"),
+        ("base_margin", float("nan")),  # Python's json reads and writes NaN
+        ("learning_rate", float("inf")),
+        pytest.param("base_margin", 10**400, id="base_margin-int-past-float-range"),
     ],
 )
 def test_config_file_rejects_wrong_type(trained, tmp_path, capsys, key, value):
@@ -326,6 +329,10 @@ def test_config_file_rejects_wrong_type(trained, tmp_path, capsys, key, value):
         (["--listwise-k", "0"], "listwise_k"),
         (["--seed", "-1"], "seed"),
         (["--objective", "ranknet"], "objective"),
+        (["--base-margin", "-5"], "base_margin"),
+        (["--base-margin", "nan"], "base_margin"),
+        (["--learning-rate", "nan"], "learning_rate"),
+        (["--learning-rate", "inf"], "learning_rate"),
     ],
 )
 def test_train_rejects_bad_config_values(trained, tmp_path, capsys, flags, key):
@@ -335,6 +342,19 @@ def test_train_rejects_bad_config_values(trained, tmp_path, capsys, flags, key):
     assert code == 1
     assert key in capsys.readouterr().err
     assert not (out / "model.json").exists()
+
+
+_DEFAULTS_TABLES = [
+    ("train", TRAIN_DEFAULTS),
+    ("extract", EXTRACT_DEFAULTS),
+    ("eval", EVAL_DEFAULTS),
+    ("gradcheck", GRADCHECK_DEFAULTS),
+    ("synth", SYNTH_DEFAULTS),
+]
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
 @pytest.mark.parametrize(
@@ -349,6 +369,16 @@ def test_train_rejects_bad_config_values(trained, tmp_path, capsys, flags, key):
         ("synth", ["--validation-instances", "-1"], "validation_instances"),
         ("synth", ["--test-instances", "-1"], "test_instances"),
         ("eval", ["--objectives", ","], "objectives"),
+        ("eval", ["--base-margin", "-5"], "base_margin"),
+        ("synth", ["--noise", "-1"], "noise"),
+        # Every float key of every subcommand rejects nan and infinity.
+        *[
+            (command, [_flag(key), value], key)
+            for command, defaults in _DEFAULTS_TABLES
+            for key, default in defaults.items()
+            if type(default) is float
+            for value in ("nan", "inf")
+        ],
     ],
 )
 def test_bad_values_exit_one_without_traceback(trained, tmp_path, capsys, command, flags, key):
@@ -358,9 +388,11 @@ def test_bad_values_exit_one_without_traceback(trained, tmp_path, capsys, comman
         "eval": {f"--{split}-corpus": split for split in ("train", "validation", "test")},
     }.get(command, {})
     paths = [arg for flag, split in corpus_flags.items() for arg in (flag, str(corpus / f"{split}.jsonl"))]
-    assert dispatch([command, *paths, "--out-dir", str(tmp_path / "o"), *flags]) == 1
+    out = tmp_path / "o"
+    assert dispatch([command, *paths, "--out-dir", str(out), *flags]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and key in err
+    assert not [path for path in out.rglob("*") if path.is_file()]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -397,16 +429,7 @@ _NOT_RESOLVED = {
 }
 
 
-@pytest.mark.parametrize(
-    "command, defaults",
-    [
-        ("train", TRAIN_DEFAULTS),
-        ("extract", EXTRACT_DEFAULTS),
-        ("eval", EVAL_DEFAULTS),
-        ("gradcheck", GRADCHECK_DEFAULTS),
-        ("synth", SYNTH_DEFAULTS),
-    ],
-)
+@pytest.mark.parametrize("command, defaults", _DEFAULTS_TABLES)
 def test_flags_match_resolved_keys(command, defaults):
     args = build_parser().parse_args([command, *_REQUIRED[command]])
     assert set(vars(args)) - _NOT_RESOLVED == set(defaults)
@@ -414,7 +437,7 @@ def test_flags_match_resolved_keys(command, defaults):
 
 def _flag_args(key, default) -> list[str]:
     """The argv that sets key to default: --key VALUE, or --key/--no-key for a bool."""
-    flag = "--" + key.replace("_", "-")
+    flag = _flag(key)
     if type(default) is bool:
         return [flag if default else "--no-" + flag[2:]]
     if type(default) is tuple:
@@ -426,13 +449,7 @@ def _flag_args(key, default) -> list[str]:
     "command, key, default",
     [
         (command, key, default)
-        for command, defaults in [
-            ("train", TRAIN_DEFAULTS),
-            ("extract", EXTRACT_DEFAULTS),
-            ("eval", EVAL_DEFAULTS),
-            ("gradcheck", GRADCHECK_DEFAULTS),
-            ("synth", SYNTH_DEFAULTS),
-        ]
+        for command, defaults in _DEFAULTS_TABLES
         for key, default in defaults.items()
     ],
 )

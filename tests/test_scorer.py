@@ -104,8 +104,8 @@ def _tfidf_cosine(query_tokens: list[str], utt_tokens: list[str], stats: Instanc
             dot += (q_count * w) * (uc[token] * w)
     if dot == 0.0:
         return 0.0
-    qn = math.sqrt(sum((c * stats.idf(t)) ** 2 for t, c in qc.items()))
-    un = math.sqrt(sum((c * stats.idf(t)) ** 2 for t, c in uc.items()))
+    qn = math.sqrt(counter_oracles.sum_of_squares(c * stats.idf(t) for t, c in qc.items()))
+    un = math.sqrt(counter_oracles.sum_of_squares(c * stats.idf(t) for t, c in uc.items()))
     return dot / (qn * un)
 
 
@@ -189,11 +189,36 @@ def test_features_equal_counter_oracle(query, texts, speakers):
         assert featurize(instance.query, utterance, stats).tolist() == row
 
 
-def test_tfidf_squares_use_python_power():
-    # C pow(x, 2) and x * x round this value apart; the features keep pow.
+def test_tfidf_norm_squares_by_product():
+    # C pow(x, 2) and x * x round this value apart; the norms square by product.
     x = 33.952794612593195
     assert x**2 != x * x
-    assert scorer._squares(np.array([x, 2.0, x])).tolist() == [x**2, 4.0, x**2]
+    norm = scorer._norms(np.zeros(3, dtype=np.int64), np.array([x, 2.0, x]), 1)
+    assert norm.tolist() == [math.sqrt(counter_oracles.sum_of_squares([x, 2.0, x]))]
+
+
+_mixed_terms = st.builds(
+    lambda mantissa, exponent: mantissa * 10.0**exponent,
+    st.floats(-10.0, 10.0),
+    st.integers(-12, 12),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n_rows=st.integers(1, 6),
+    pairs=st.lists(st.tuples(st.integers(0, 5), _mixed_terms), max_size=60),
+)
+def test_bincount_adds_each_row_left_to_right(n_rows, pairs):
+    # The tf-idf sums rely on this: np.bincount adds each weight into its
+    # row's bin in input order, starting from 0.0.
+    pairs = [(row % n_rows, term) for row, term in pairs]
+    want = [0.0] * n_rows
+    for row, term in pairs:
+        want[row] += term
+    rows = np.array([row for row, _ in pairs], dtype=np.int64)
+    terms = np.array([term for _, term in pairs], dtype=np.float64)
+    assert np.bincount(rows, weights=terms, minlength=n_rows).tolist() == want
 
 
 # ------------------------------------------------------------- init_model

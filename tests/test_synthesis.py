@@ -41,8 +41,9 @@ def test_validation_errors():
         synth_corpus(0)
     with pytest.raises(ValidationError):
         synth_corpus(2, n_utterances=1)
-    with pytest.raises(ValidationError):
-        synth_corpus(2, noise=-0.1)
+    for bad in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ValidationError, match="noise"):
+            synth_corpus(2, noise=bad)
     with pytest.raises(ValidationError):
         synth_corpus(2, min_tokens=9, max_tokens=5)
     with pytest.raises(ValidationError):

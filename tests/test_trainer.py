@@ -54,6 +54,12 @@ def test_config_rejects_bad_values():
         TrainConfig(learning_rate=-1.0)
     with pytest.raises(ValidationError):
         TrainConfig(epochs=0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValidationError, match="learning_rate"):
+            TrainConfig(learning_rate=bad)
+    for bad in (math.nan, math.inf, -5.0):
+        with pytest.raises(ValidationError, match="base_margin"):
+            TrainConfig(base_margin=bad)
 
 
 def test_zero_learning_rate_update_is_identity():
@@ -101,16 +107,33 @@ def test_prepared_instances_equal_string_oracles(meetings):
         ]
 
 
-def test_prepared_data_digest():
-    # Literals taken from the Counter-based featurization and labelling this
-    # array code replaced: any low-bit drift in a feature or label moves them.
+def _prepared_digests(**shape) -> tuple[str, str]:
+    """SHA-256 of the prepared features and of the labels of a small seeded corpus."""
     features, relevance = hashlib.sha256(), hashlib.sha256()
-    for corpus in synth_splits(5, 0, 3, seed=12, n_utterances=30).values():
+    for corpus in synth_splits(5, 0, 3, seed=12, **shape).values():
         for prep in prepare_corpus(corpus):
             features.update(prep.features.tobytes())
             relevance.update(prep.relevance.tobytes())
-    assert features.hexdigest() == "b90a09240f0d6f18f99696516f9910e7f33a156a2d054bba3cdc9e9b0a648d34"
-    assert relevance.hexdigest() == "ba9bd4855b61364bd9dc16293bbbab929da14a738e2d8639f6987332ab975970"
+    return features.hexdigest(), relevance.hexdigest()
+
+
+def test_prepared_data_digest():
+    # Literals taken from the Counter-based featurization and labelling this
+    # array code replaced: any low-bit drift in a feature or label moves them.
+    assert _prepared_digests(n_utterances=30) == (
+        "b90a09240f0d6f18f99696516f9910e7f33a156a2d054bba3cdc9e9b0a648d34",
+        "ba9bd4855b61364bd9dc16293bbbab929da14a738e2d8639f6987332ab975970",
+    )
+
+
+def test_prepared_data_digest_long_utterances():
+    # Longtext-shaped rows hold many distinct terms, so their tf-idf sums are
+    # long; literals taken from the feature code with Python-power squares and
+    # zero-padded cumulative sums.
+    assert _prepared_digests(n_utterances=30, min_tokens=30, max_tokens=40, summary_words=80) == (
+        "02410930d8b08d419fefd3a1ff0ff5e1ab65f86a6b4f58ec0a941fdb096c2b0b",
+        "f6877f37747b6e76b79bfd02c429a804e720fb68f9f29c6680f149066d5953fe",
+    )
 
 
 # ----------------------------------------------------------- locator labels
