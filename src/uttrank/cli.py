@@ -19,7 +19,8 @@ toolkit version, and content digests of the input files. Outputs are
 byte-identical across runs with identical inputs and seeds; only the manifest
 timestamp differs. Every output file is written through fileio.atomic_open, so
 a command that fails part-way leaves the previous file, if any, and no partial
-one.
+one. No command creates its --out-dir before its inputs have loaded and
+validated, so a run rejected for its inputs leaves no directory behind.
 
 Exit codes: 0 success, 1 validation/domain error, 2 usage error.
 """
@@ -193,7 +194,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
             "--stage1-model is required with objective 'listwise' and rejected with any other, "
             f"got objective {train_config.objective!r}"
         )
-    out = _out_dir(args.out_dir)
     prepared = prepare_corpus(load_corpus(args.corpus, split="train"))
     inputs = [args.corpus]
     if train_config.objective == "pairwise":
@@ -205,6 +205,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     else:
         result = train_baseline(prepared, train_config, pipeline_config)
 
+    out = _out_dir(args.out_dir)
     save_model(result.model, out / "model.json")
     with atomic_open(out / "loss_history.csv", newline="") as fh:
         writer = csv.writer(fh)
@@ -222,11 +223,11 @@ EXTRACT_DEFAULTS = _defaults(PipelineConfig)
 def _cmd_extract(args: argparse.Namespace) -> int:
     cfg = _resolve(args, EXTRACT_DEFAULTS)
     pipeline_config = _build(PipelineConfig, cfg)
-    out = _out_dir(args.out_dir)
     corpus = load_corpus(args.corpus, split="test")
     # Without --reranker the stage-1 model also orders the pool (the ablation).
     checkpoints = [path for path in (args.model, args.reranker) if path]
     models = [load_model(path) for path in checkpoints]
+    out = _out_dir(args.out_dir)
     with atomic_open(out / "extractions.jsonl") as fh:
         for instance in corpus:
             features = instance_features(instance)  # extraction needs no gold labels
@@ -257,7 +258,6 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     objectives = _objectives(cfg["objectives"], (*COMPARISON_OBJECTIVES, *REFERENCE_ROWS))
     train_config = _build(TrainConfig, cfg)
     pipeline_config = _build(PipelineConfig, cfg)
-    out = _out_dir(args.out_dir)
     corpora = {
         "train": load_corpus(args.train_corpus, split="train"),
         "validation": load_corpus(args.validation_corpus, split="validation"),
@@ -269,6 +269,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         train_config=train_config,
         pipeline_config=pipeline_config,
     )
+    out = _out_dir(args.out_dir)
     _write_text(out / "report.json", report.to_json() + "\n")
     _write_text(out / "report.txt", report.format_table() + "\n")
     print(report.format_table())
@@ -402,11 +403,11 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     for key in ("validation_instances", "test_instances"):
         if cfg[key] < 0:
             raise ValidationError(f"{key} must be >= 0, got {cfg[key]}")
-    out = _out_dir(args.out_dir)
     n_validation = cfg["validation_instances"] or max(1, n_train // 10)
     n_test = cfg["test_instances"] or max(1, n_train // 4)
     keywords = {k: cfg[k] for k in _SYNTH_KEYWORDS}
     splits = synth_splits(n_train, n_validation, n_test, n_utterances=cfg["utterances"], **keywords)
+    out = _out_dir(args.out_dir)
     for split in SPLITS:
         save_corpus(splits[split], out / f"{split}.jsonl")
     resolved = dict(cfg, validation_instances=n_validation, test_instances=n_test)

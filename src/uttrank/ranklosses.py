@@ -21,6 +21,7 @@ All functions are pure and safe for concurrent evaluation.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,20 @@ class LossResult:
     grad: np.ndarray
 
 
+@functools.lru_cache(maxsize=64)
+def _margin_grid(n: int, base_margin: float) -> tuple[np.ndarray, np.ndarray]:
+    """The (j - i) * base_margin grid and the strict upper-triangle mask, both read-only.
+
+    Training windows share a handful of sizes, so each pair is built once.
+    """
+    ranks = np.arange(n)
+    margins = (ranks[None, :] - ranks[:, None]) * base_margin
+    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
+    margins.flags.writeable = False
+    upper.flags.writeable = False
+    return margins, upper
+
+
 def pairwise_margin_loss(scores, base_margin: float) -> LossResult:
     """Hinge loss over all pairs of a gold-ordered sample.
 
@@ -57,14 +72,13 @@ def pairwise_margin_loss(scores, base_margin: float) -> LossResult:
     n = s.shape[0]
     if n < 2:
         raise ValidationError(f"pairwise loss needs >= 2 scores, got {n}")
-    ranks = np.arange(n)
+    margins, upper = _margin_grid(n, float(base_margin))
     # hinge[i, j] = s[j] - s[i] + (j - i) * margin, meaningful for j > i
-    gaps = ranks[None, :] - ranks[:, None]
-    hinge = s[None, :] - s[:, None] + gaps * float(base_margin)
-    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
+    hinge = s[None, :] - s[:, None] + margins
     active = upper & (hinge > 0.0)
     value = float(hinge[active].sum())
-    grad = active.sum(axis=0).astype(np.float64) - active.sum(axis=1).astype(np.float64)
+    # Both counts are small integers, so their difference is exact either way.
+    grad = (active.sum(axis=0) - active.sum(axis=1)).astype(np.float64)
     return LossResult(value=value, grad=grad)
 
 

@@ -65,8 +65,12 @@ def _synth_instance(
     segment_len: int,
     offtopic_cap: float,
 ) -> QueryInstance:
-    summary_tokens = list(rng.choice(SUMMARY_VOCAB, size=summary_words, replace=False))
-    content = list(rng.choice(summary_tokens, size=min(query_words, summary_words), replace=False))
+    # Each draw picks indices, exactly as rng.choice over the sequence itself
+    # would, without converting the sequence to a NumPy array on every call.
+    picked = rng.choice(len(SUMMARY_VOCAB), size=summary_words, replace=False)
+    summary_tokens = [SUMMARY_VOCAB[j] for j in picked.tolist()]
+    picked = rng.choice(summary_words, size=min(query_words, summary_words), replace=False)
+    content = [summary_tokens[j] for j in picked.tolist()]
 
     n_segments = -(-n_utterances // segment_len)
     start = int(rng.integers(0, len(SPEAKER_POOL)))
@@ -81,7 +85,7 @@ def _synth_instance(
     utterances = []
     for i in range(n_utterances):
         high = 1.0 if (i // segment_len) in focus else offtopic_cap
-        target = float(np.clip(rng.uniform(0.0, high) + rng.normal(0.0, noise), 0.0, 1.0))
+        target = min(max(rng.uniform(0.0, high) + rng.normal(0.0, noise), 0.0), 1.0)
         length = int(rng.integers(min_tokens, max_tokens + 1))
         span_len = int(round(target * min(length, summary_words)))
         # Meetings walk an agenda: an utterance's summary content sits near the
@@ -89,7 +93,9 @@ def _synth_instance(
         # contribute mostly distinct tokens.
         span_start = int(round(i / max(1, n_utterances - 1) * (summary_words - span_len)))
         span = summary_tokens[span_start : span_start + span_len]
-        fillers = list(rng.choice(FILLER_VOCAB, size=length - span_len, replace=True))
+        # rng.choice(FILLER_VOCAB, size, replace=True) makes this same draw.
+        drawn = rng.integers(0, len(FILLER_VOCAB), size=length - span_len)
+        fillers = [FILLER_VOCAB[j] for j in drawn.tolist()]
         cut = int(rng.integers(0, len(fillers) + 1))
         tokens = fillers[:cut] + span + fillers[cut:]
         utterances.append(

@@ -395,6 +395,36 @@ def test_bad_values_exit_one_without_traceback(trained, tmp_path, capsys, comman
     assert not [path for path in out.rglob("*") if path.is_file()]
 
 
+@pytest.mark.parametrize("command", ["synth", "train", "extract", "eval"])
+def test_rejected_run_leaves_no_out_dir(trained, tmp_path, capsys, command):
+    # Each input is rejected only once it is loaded or used, past the point
+    # where the output directory used to be created.
+    tmp, corpus, model_dir = trained
+    payload = json.loads((model_dir / "model.json").read_text())
+    payload["biases"][0][0] = float("inf")
+    bad_model = tmp_path / "inf-model.json"
+    bad_model.write_text(json.dumps(payload))
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    splits = {split: str(corpus / f"{split}.jsonl") for split in ("train", "validation", "test")}
+    out = tmp_path / "o"
+    argv = {
+        "synth": ["synth", "--noise", "-1"],
+        "train": [
+            "train", "--corpus", splits["train"], "--objective", "listwise",
+            "--stage1-model", str(bad_model), "--epochs", "1",
+        ],
+        "extract": ["extract", "--corpus", splits["test"], "--model", str(bad_model)],
+        "eval": [
+            "eval", "--train-corpus", splits["train"], "--validation-corpus",
+            splits["validation"], "--test-corpus", str(empty), "--epochs", "1",
+        ],
+    }[command]
+    assert dispatch([*argv, "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_train_aborts_on_divergence(trained, tmp_path, capsys):
     _, corpus, _ = trained

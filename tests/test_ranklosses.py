@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from uttrank.errors import ValidationError
 from uttrank.pipeline import rank_descending
 from uttrank.ranklosses import (
+    _margin_grid,
     bce_locator_loss,
     kl_listwise_loss,
     mse_simulator_loss,
@@ -102,6 +103,43 @@ def test_pairwise_zero_iff_margins_met():
             for j in range(i + 1, 4)
         )
         assert (value == 0.0) == satisfied
+
+
+def _pairwise_per_call_oracle(scores, base_margin):
+    """The loss with its rank-gap grid and upper mask built afresh on every call."""
+    s = np.asarray(scores, dtype=np.float64)
+    n = s.shape[0]
+    ranks = np.arange(n)
+    gaps = ranks[None, :] - ranks[:, None]
+    hinge = s[None, :] - s[:, None] + gaps * float(base_margin)
+    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
+    active = upper & (hinge > 0.0)
+    value = float(hinge[active].sum())
+    grad = active.sum(axis=0).astype(np.float64) - active.sum(axis=1).astype(np.float64)
+    return value, grad
+
+
+def test_pairwise_equals_per_call_oracle_bitwise():
+    # Alternating margins at each size would catch a grid cached under the
+    # wrong key; scores near the margin scale leave some pairs active.
+    rng = np.random.default_rng(29)
+    for n in (2, 10, 11, 48):
+        for base_margin in (0.01, 0.02, 0.01):
+            for _ in range(5):
+                s = rng.normal(scale=0.05 * n, size=n)
+                got = pairwise_margin_loss(s, base_margin)
+                value, grad = _pairwise_per_call_oracle(s, base_margin)
+                assert got.value == value
+                assert got.grad.dtype == grad.dtype
+                assert got.grad.tobytes() == grad.tobytes()
+
+
+def test_pairwise_cached_grid_is_read_only():
+    margins, upper = _margin_grid(10, 0.01)
+    for grid in (margins, upper):
+        assert not grid.flags.writeable
+        with pytest.raises(ValueError):
+            grid[0, 1] = 1
 
 
 def test_pairwise_rejects_single_item():

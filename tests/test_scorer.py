@@ -411,6 +411,22 @@ def test_apply_gradient_moves_downhill():
     assert after[0] < before[0]  # descending on the raw score
 
 
+def test_apply_gradient_rounds_as_w_minus_lr_g():
+    # The checkpoints' bits rest on this rounding; a faster step must keep it.
+    rng = np.random.default_rng(31)
+    for lr in (5e-3, 0.1, 3e-7):
+        model = init_model((FEATURE_DIM, 16, 8, 1), seed=4)
+        grad = scorer.ParameterGradient(
+            weights=[rng.normal(size=w.shape) for w in model.weights],
+            biases=[rng.normal(size=b.shape) for b in model.biases],
+        )
+        params = model.weights + model.biases
+        want = [p - lr * g for p, g in zip(params, grad.weights + grad.biases)]
+        apply_gradient(model, grad, lr)
+        got = model.weights + model.biases
+        assert [p.tobytes() for p in got] == [p.tobytes() for p in want]
+
+
 # ---------------------------------------------------------- serialization
 
 def test_save_load_roundtrip(tmp_path):

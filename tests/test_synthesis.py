@@ -1,9 +1,11 @@
 """Structure and determinism of the planted-order corpus generator."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from uttrank.corpus import instance_to_record
+from uttrank.corpus import instance_to_record, save_corpus
 from uttrank.errors import ValidationError
 from uttrank.synthesis import (
     FILLER_VOCAB,
@@ -120,3 +122,37 @@ def test_split_streams_do_not_shift():
     assert _records(small["train"]) == _records(large["train"])
     assert _records(small["validation"]) == _records(large["validation"])
     assert _records(small["test"]) == _records(large["test"])[:2]
+
+
+# The benchmark's workload shapes. Each draw depends on the shape, not on the
+# split sizes, so three small splits cover every kind of draw.
+_SHAPES = {
+    "qf40": {"n_utterances": 40},
+    "long160": {"n_utterances": 160},
+    "longtext": {"n_utterances": 40, "min_tokens": 30, "max_tokens": 40, "summary_words": 80},
+}
+
+
+def test_corpus_digest(tmp_path):
+    # Literals taken from the generator that drew words with rng.choice over
+    # the vocabulary tuples: any change to the random stream moves them.
+    digests = {}
+    for name, shape in _SHAPES.items():
+        for seed in (101, 7, 1):
+            sha = hashlib.sha256()
+            for split, corpus in synth_splits(3, 1, 2, seed=seed, **shape).items():
+                path = tmp_path / f"{name}-{seed}-{split}.jsonl"
+                save_corpus(corpus, path)
+                sha.update(path.read_bytes())
+            digests[name, seed] = sha.hexdigest()
+    assert digests == {
+        ("qf40", 101): "56cc8077c52d0ea58a9a34ab96910019872f94e126ce76c45237c2e4ad164739",
+        ("qf40", 7): "e371f3b82dcd9d160f90534760470281de7e0dbee695d910a7745f4afb5f453d",
+        ("qf40", 1): "0e3144eae7233bf688cf59b76bbea2d5c9fa23032a53435f063948afbd743616",
+        ("long160", 101): "9fb5be6214c2d507793ce8f7cafff6c815897d9d5035d63a17fd5b1ed61bd20d",
+        ("long160", 7): "adfee90396ad6223bb923a909c7d071e315b11ec520310efd804c53e84fe8efd",
+        ("long160", 1): "420d15e13313b30fd142ac2e4e48e890d56e91d15a29be5e086a18a490042c49",
+        ("longtext", 101): "e22d01f8197dda450e715bd91cda1c060934621ab37ccc1a743a0de71cc6d37b",
+        ("longtext", 7): "e82aeea4345ccec387627ed8b3e77dd75b7bb2137beabe57a68d1aade708ddb6",
+        ("longtext", 1): "2bdb35557768e28ac8d4d53f7241ca969714bee3147fe565efa310724bd1f88c",
+    }

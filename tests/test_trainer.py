@@ -22,6 +22,7 @@ from uttrank.scorer import (
     init_model,
     instance_features,
     num_params,
+    save_model,
 )
 from uttrank.synthesis import synth_corpus, synth_splits
 from uttrank.trainer import (
@@ -191,6 +192,48 @@ def test_train_reranker_bit_identical(planted):
     a = train_reranker(prepared, stage1, cfg, pipeline_config=pcfg)
     b = train_reranker(prepared, stage1, cfg, pipeline_config=pcfg)
     assert np.array_equal(flat_params(a.model), flat_params(b.model))
+
+
+def test_checkpoint_digests(tmp_path):
+    # Literals taken while the margin grid was still built on every call: a
+    # low-bit drift in any parameter of any objective moves them.
+    prepared = prepare_corpus(synth_splits(12, 0, 0, seed=3, n_utterances=20)["train"])
+    pcfg = PipelineConfig(sample_size=10, per_sample_top=3)
+
+    def digest(result):
+        path = tmp_path / "model.json"
+        save_model(result.model, path)
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    stage1 = train_ranker(prepared, TrainConfig(epochs=2, seed=1), pcfg)
+    listwise = TrainConfig(objective="listwise", epochs=2, seed=4)
+    digests = {
+        "pairwise": digest(stage1),
+        "listwise": digest(train_reranker(prepared, stage1.model, listwise, pcfg)),
+        **{
+            objective: digest(
+                train_baseline(prepared, TrainConfig(objective=objective, epochs=2, seed=9), pcfg)
+            )
+            for objective in ("bce", "mse")
+        },
+    }
+    assert digests == {
+        "pairwise": "758c2c712f872037ed02224c50ec4b6366eb0a8a005c3582a78b6bc5a8711031",
+        "listwise": "a2359bf695bc2b89a038d98d760430457278c90562bed0605ed008fc7c2a6b92",
+        "bce": "dda50e87e0d6feabb19889c3fdb407556e47e189bae8197c31ef6c9b39544a77",
+        "mse": "4d7827d8fe7a5e93cf3c0dce05fe9acf9fbfecb0992325ca325fe96b52edcdda",
+    }
+
+
+def test_train_reranker_leaves_stage1_unchanged(planted):
+    # Stage 1 is frozen: training the re-ranker reads it and never steps it.
+    pcfg = PipelineConfig(sample_size=10, per_sample_top=3)
+    stage1 = train_ranker(planted, TrainConfig(epochs=1, seed=1), pipeline_config=pcfg).model
+    before = flat_params(stage1).tobytes()
+    cfg = TrainConfig(objective="listwise", epochs=2, seed=4)
+    reranker = train_reranker(planted, stage1, cfg, pipeline_config=pcfg).model
+    assert flat_params(stage1).tobytes() == before
+    assert flat_params(reranker).tobytes() != before
 
 
 def test_different_seed_changes_model(planted):
