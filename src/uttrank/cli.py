@@ -9,9 +9,11 @@ grad_check's epsilon for gradcheck; only the keys no library code owns
 Each key's flag is the key with dashes (the boolean locator_use_spans is
 --locator-use-spans/--no-locator-use-spans) and parses as its default's type;
 a config-file value must have the default's JSON type: an integer, a number,
-true/false, a string, or a list of integers for hidden_dims. eval trains its
-re-ranker with the stage-1 settings, and extract re-ranks exactly when
---reranker is given.
+true/false, a string, or a list of integers for hidden_dims. eval trains each
+requested objective through the same objective dispatch as train (_train),
+the re-ranker with the stage-1 settings and on a pairwise stage 1 that it
+rates as well, then rates the models with evaluation.run_comparison. extract
+re-ranks exactly when --reranker is given.
 
 Each run that writes files also writes a manifest.json next to them recording
 the command, the resolved configuration with its typed values, the seed, the
@@ -35,6 +37,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -185,6 +188,15 @@ TRAIN_DEFAULTS = {
 }
 
 
+def _train(prepared, config: TrainConfig, pipeline_config: PipelineConfig, stage1=None):
+    """The trainer of config.objective run on prepared; stage1 is the frozen ranker for listwise."""
+    if config.objective == "pairwise":
+        return train_ranker(prepared, config, pipeline_config)
+    if config.objective == "listwise":
+        return train_reranker(prepared, stage1, config, pipeline_config)
+    return train_baseline(prepared, config, pipeline_config)
+
+
 def _cmd_train(args: argparse.Namespace) -> int:
     cfg = _resolve(args, TRAIN_DEFAULTS)
     train_config = _build(TrainConfig, cfg)
@@ -195,15 +207,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
             f"got objective {train_config.objective!r}"
         )
     prepared = prepare_corpus(load_corpus(args.corpus, split="train"))
-    inputs = [args.corpus]
-    if train_config.objective == "pairwise":
-        result = train_ranker(prepared, train_config, pipeline_config)
-    elif train_config.objective == "listwise":
-        stage1 = load_model(args.stage1_model)
-        inputs.append(args.stage1_model)
-        result = train_reranker(prepared, stage1, train_config, pipeline_config)
-    else:
-        result = train_baseline(prepared, train_config, pipeline_config)
+    stage1 = load_model(args.stage1_model) if args.stage1_model else None
+    result = _train(prepared, train_config, pipeline_config, stage1)
 
     out = _out_dir(args.out_dir)
     save_model(result.model, out / "model.json")
@@ -212,6 +217,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         writer.writerow(["epoch", "mean_loss"])
         for epoch, loss in enumerate(result.epoch_losses, start=1):
             writer.writerow([epoch, repr(loss)])
+    inputs = [path for path in (args.corpus, args.stage1_model) if path]
     _write_manifest(out, "train", cfg, train_config.seed, inputs)
     logger.info("wrote %s", out / "model.json")
     return 0
@@ -253,22 +259,29 @@ EVAL_DEFAULTS = {
 }
 
 
+# The trainer objective of each comparison row that is not named after one.
+_TRAINED_AS = {"pairwise+listwise": "listwise"}
+
+
 def _cmd_eval(args: argparse.Namespace) -> int:
     cfg = _resolve(args, EVAL_DEFAULTS)
     objectives = _objectives(cfg["objectives"], (*COMPARISON_OBJECTIVES, *REFERENCE_ROWS))
     train_config = _build(TrainConfig, cfg)
     pipeline_config = _build(PipelineConfig, cfg)
-    corpora = {
-        "train": load_corpus(args.train_corpus, split="train"),
-        "validation": load_corpus(args.validation_corpus, split="validation"),
-        "test": load_corpus(args.test_corpus, split="test"),
-    }
-    report = run_comparison(
-        corpora,
-        objectives=objectives,
-        train_config=train_config,
-        pipeline_config=pipeline_config,
-    )
+    train = load_corpus(args.train_corpus, split="train")
+    load_corpus(args.validation_corpus, split="validation")  # validated and digested, not read
+    test = load_corpus(args.test_corpus, split="test")
+    if not test:  # run_comparison rejects it too, but only after all the training
+        raise ValidationError(f"{args.test_corpus}: the 'test' split holds no instance")
+    prepared = prepare_corpus(train)
+    # The re-ranker pools with the pairwise model, so that one is trained too, and first.
+    wanted = {*objectives, "pairwise"} if "pairwise+listwise" in objectives else set(objectives)
+    models = {}
+    for name in ("pairwise", "pairwise+listwise", "bce", "mse"):
+        if name in wanted:
+            config = replace(train_config, objective=_TRAINED_AS.get(name, name))
+            models[name] = _train(prepared, config, pipeline_config, models.get("pairwise")).model
+    report = run_comparison(test, models, pipeline_config)
     out = _out_dir(args.out_dir)
     _write_text(out / "report.json", report.to_json() + "\n")
     _write_text(out / "report.txt", report.format_table() + "\n")

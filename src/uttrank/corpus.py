@@ -108,13 +108,20 @@ class Corpus:
         return iter(self.instances)
 
 
+def _json_int(value, name: str) -> int:
+    """value if JSON parsed it as an integer; a float or bool is malformed, not truncated."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def _parse_instance(record: dict, path: str, line_number: int) -> QueryInstance:
     try:
         meeting_id = str(record["meeting_id"])
         utterances = tuple(
             Utterance(
                 meeting_id=meeting_id,
-                index=int(u["index"]),
+                index=_json_int(u["index"], "utterance index"),
                 speaker=str(u["speaker"]),
                 text=str(u["text"]),
             )
@@ -127,7 +134,9 @@ def _parse_instance(record: dict, path: str, line_number: int) -> QueryInstance:
             query=str(record["query"]),
             utterances=utterances,
             gold_summary=str(record["gold_summary"]),
-            relevant_spans=None if spans is None else tuple((int(a), int(b)) for a, b in spans),
+            relevant_spans=None if spans is None else tuple(
+                (_json_int(a, "span start"), _json_int(b, "span end")) for a, b in spans
+            ),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise CorpusFormatError(path, line_number, f"missing or malformed field: {exc}") from exc

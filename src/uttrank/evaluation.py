@@ -5,6 +5,7 @@ Kendall tau) score the order of all utterances by a row's score vector
 against the ROUGE-derived relevance labels and isolate what the scorer
 itself controls. Overlap metrics measure the selected utterances against the
 reference summary, which also depends on budgets, pooling, and selection.
+The harness rates the trained models it is given and trains none itself.
 Every row, trained or reference, is one score vector per test instance (see
 run_comparison). Conclusions drawn from the harness are directional:
 absolute numbers depend on corpus scale and scorer capacity.
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -23,18 +24,10 @@ from .errors import ValidationError
 from .pipeline import ExtractionResult, PipelineConfig, rank_descending, run_pipeline, select_topk
 from .rouge import RougeScore, rouge_scores
 from .scorer import ScoringModel, score_utterances
-from .trainer import (
-    PreparedInstance,
-    TrainConfig,
-    prepare_corpus,
-    train_baseline,
-    train_ranker,
-    train_reranker,
-)
+from .trainer import PreparedInstance, prepare_corpus
 
 COMPARISON_OBJECTIVES = ("pairwise+listwise", "pairwise", "bce", "mse")
 REFERENCE_ROWS = ("lead", "gold")
-REQUIRED_SPLITS = ("train", "validation", "test")
 
 __all__ = [
     "COMPARISON_OBJECTIVES",
@@ -257,75 +250,43 @@ def _aggregate_row(
     )
 
 
-def _train_models(
-    objectives,
-    prepared_train: list[PreparedInstance],
-    train_config: TrainConfig,
-    pipeline_config: PipelineConfig,
-) -> dict[str, ScoringModel]:
-    models: dict[str, ScoringModel] = {}
-    needs_stage1 = "pairwise" in objectives or "pairwise+listwise" in objectives
-    if needs_stage1:
-        stage1 = train_ranker(
-            prepared_train, replace(train_config, objective="pairwise"), pipeline_config
-        ).model
-        models["pairwise"] = stage1
-        if "pairwise+listwise" in objectives:
-            models["pairwise+listwise"] = train_reranker(
-                prepared_train,
-                stage1,
-                replace(train_config, objective="listwise"),
-                pipeline_config,
-            ).model
-    for objective in ("bce", "mse"):
-        if objective in objectives:
-            models[objective] = train_baseline(
-                prepared_train, replace(train_config, objective=objective), pipeline_config
-            ).model
-    return models
-
-
 def run_comparison(
-    corpora: dict[str, Corpus],
-    objectives=COMPARISON_OBJECTIVES,
-    train_config: TrainConfig = TrainConfig(),
+    test: Corpus,
+    models: dict[str, ScoringModel],
     pipeline_config: PipelineConfig = PipelineConfig(),
 ) -> ComparisonReport:
-    """Train each requested objective and score all extractors on the test split.
+    """Score the given trained models and the reference rows on the test split.
 
-    Every trainable objective starts from the same seed and scorer
-    architecture. Each row ranks all utterances by its score vector: the
-    row's model scores, lead's descending transcript positions, or gold's
-    relevance labels. The pairwise row selects from the pool of per-window
-    top candidates ordered by stage-1 score, pairwise+listwise re-ranks that
-    pool, and every other row selects greedily in its own order. Gold and
-    lead reference rows are always included. Rank metrics are computed over
-    the full utterance ordering, so every row's tau and NDCG are measured on
-    the same element set.
+    models maps names in COMPARISON_OBJECTIVES to trained scoring models; the
+    rows are the given models in COMPARISON_OBJECTIVES order, then lead and
+    gold. Each row ranks all utterances by its score vector: the row's model
+    scores, lead's descending transcript positions, or gold's relevance
+    labels. The pairwise row selects from the pool of per-window top
+    candidates ordered by its own scores, pairwise+listwise re-ranks the pool
+    that the pairwise model builds (so it needs that model too), and every
+    other row selects greedily in its own order. Rank metrics are computed
+    over the full utterance ordering, so every row's tau and NDCG are measured
+    on the same element set.
     """
-    for split in REQUIRED_SPLITS:
-        if split not in corpora:
-            raise ValidationError(f"run_comparison requires a {split!r} split")
-    if not corpora["test"]:
+    if not test:
         raise ValidationError("run_comparison needs at least one instance in the 'test' split")
-    known = set(COMPARISON_OBJECTIVES) | set(REFERENCE_ROWS)
-    requested = list(dict.fromkeys(objectives))
-    unknown = [o for o in requested if o not in known]
+    unknown = sorted(set(models) - set(COMPARISON_OBJECTIVES))
     if unknown:
-        raise ValidationError(f"unknown objectives {unknown}, expected among {sorted(known)}")
-    trainable = [o for o in COMPARISON_OBJECTIVES if o in requested]
+        raise ValidationError(
+            f"unknown models {unknown}, expected among {list(COMPARISON_OBJECTIVES)}"
+        )
+    if "pairwise+listwise" in models and "pairwise" not in models:
+        raise ValidationError("model 'pairwise+listwise' needs its stage 1, the 'pairwise' model")
+    trained = [o for o in COMPARISON_OBJECTIVES if o in models]
 
-    prepared_train = prepare_corpus(corpora["train"])
-    prepared_test = prepare_corpus(corpora["test"])
-
-    models = _train_models(trainable, prepared_train, train_config, pipeline_config)
+    prepared_test = prepare_corpus(test)
 
     k = pipeline_config.top_k
-    selections: dict[str, list] = {o: [] for o in trainable + list(REFERENCE_ROWS)}
+    selections: dict[str, list] = {o: [] for o in trained + list(REFERENCE_ROWS)}
     for prep in prepared_test:
         instance = prep.instance
         n = len(instance.utterances)
-        row_scores = {o: score_utterances(models[o], prep.features) for o in trainable}
+        row_scores = {o: score_utterances(models[o], prep.features) for o in trained}
         row_scores["lead"] = np.arange(n, 0, -1, dtype=float)
         row_scores["gold"] = prep.relevance
         for objective, scores in row_scores.items():
@@ -340,13 +301,9 @@ def run_comparison(
         _aggregate_row(objective, prepared_test, selections[objective], k)
         for objective in selections
     )
-    config_snapshot = {
-        "train": asdict(train_config),
-        "pipeline": asdict(pipeline_config),
-    }
     return ComparisonReport(
         rows=rows,
-        corpus_id=corpus_digest(corpora),
+        corpus_id=corpus_digest({"test": test}),
         ndcg_k=k,
-        config=config_snapshot,
+        config={"pipeline": asdict(pipeline_config)},
     )

@@ -383,7 +383,13 @@ def _model_from_payload(payload: dict, path: str | Path) -> ScoringModel:
     names = payload.get("feature_names")
     if names != list(FEATURE_NAMES):
         raise ValidationError(f"{path}: feature names {names} != {list(FEATURE_NAMES)}")
-    dims = tuple(int(d) for d in payload["layer_dims"])
+    dims = payload["layer_dims"]
+    if type(dims) is not list or any(type(d) is not int for d in dims):
+        raise ValidationError(f"{path}: 'layer_dims' must be a list of integers, got {dims!r}")
+    dims = tuple(dims)
+    seed = payload["seed"]
+    if type(seed) is not int:
+        raise ValidationError(f"{path}: 'seed' must be an integer, got {seed!r}")
     _check_dims(dims)
     if dims[0] != FEATURE_DIM:
         raise ValidationError(f"{path}: input dimension {dims[0]} != {FEATURE_DIM} features")
@@ -404,4 +410,4 @@ def _model_from_payload(payload: dict, path: str | Path) -> ScoringModel:
             raise ValidationError(f"{path}: layer {l} holds a non-finite parameter")
         weights.append(w.reshape(fan_out, fan_in))
         biases.append(b)
-    return ScoringModel(layer_dims=dims, weights=weights, biases=biases, seed=int(payload["seed"]))
+    return ScoringModel(layer_dims=dims, weights=weights, biases=biases, seed=seed)

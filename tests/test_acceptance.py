@@ -24,6 +24,7 @@ from uttrank.trainer import (
     grad_check,
     make_objective_assembly,
     prepare_corpus,
+    train_baseline,
     train_ranker,
     train_reranker,
 )
@@ -255,13 +256,17 @@ def test_criterion_07_reranking_ablation_direction(capsys, planted_seed7):
 def test_criterion_08_objective_comparison_direction(capsys, tmp_path):
     """Pairwise mean tau ≥ MSE and ≥ BCE, averaged over training seeds 0..4."""
     corpora = synth_splits(200, 20, 50, n_utterances=40, noise=0.1, seed=7)
+    prepared = prepare_corpus(corpora["train"])
     taus = {"pairwise": [], "mse": [], "bce": []}
     for seed in range(5):
-        report = run_comparison(
-            corpora,
-            objectives=("pairwise", "bce", "mse"),
-            train_config=TrainConfig(seed=seed),
-        )
+        models = {
+            "pairwise": train_ranker(prepared, TrainConfig(seed=seed)).model,
+            **{
+                objective: train_baseline(prepared, TrainConfig(objective, seed=seed)).model
+                for objective in ("bce", "mse")
+            },
+        }
+        report = run_comparison(corpora["test"], models)
         (tmp_path / f"comparison_seed{seed}.json").write_text(
             report.to_json() + "\n", encoding="utf-8"
         )

@@ -1,5 +1,6 @@
 """End-to-end command-line behaviour: exit codes, files, determinism."""
 
+import hashlib
 import inspect
 import json
 import os
@@ -21,8 +22,10 @@ from uttrank.cli import (
     build_parser,
     dispatch,
 )
-from uttrank.corpus import QueryInstance, Utterance, save_corpus
+from uttrank.corpus import QueryInstance, Utterance, load_corpus, save_corpus
+from uttrank.evaluation import corpus_digest, run_comparison
 from uttrank.pipeline import PipelineConfig
+from uttrank.scorer import load_model
 from uttrank.synthesis import synth_corpus
 from uttrank.trainer import TrainConfig, grad_check
 
@@ -542,6 +545,84 @@ def test_eval_writes_report(tmp_path, capsys):
     payload = json.loads((out / "report.json").read_text())
     assert [r["objective"] for r in payload["rows"]] == ["pairwise", "mse", "lead", "gold"]
     assert (out / "report.txt").exists()
+
+
+EVAL_FLAGS = ["--epochs", "3", "--sample-size", "10", "--per-sample-top", "3"]
+
+
+@pytest.fixture(scope="module")
+def seeded_eval(tmp_path_factory):
+    """A seeded synth corpus and the eval report over it, with every comparison row."""
+    tmp = tmp_path_factory.mktemp("seeded-eval")
+    corpus = _synth(tmp, "c", instances=40, validation_instances=0, test_instances=10,
+                    utterances=40, seed=101)
+    out = tmp / "eval"
+    assert dispatch(
+        [
+            "eval",
+            "--train-corpus", str(corpus / "train.jsonl"),
+            "--validation-corpus", str(corpus / "validation.jsonl"),
+            "--test-corpus", str(corpus / "test.jsonl"),
+            "--out-dir", str(out),
+            *EVAL_FLAGS,
+        ]
+    ) == 0
+    return tmp, corpus, json.loads((out / "report.json").read_text())
+
+
+def test_eval_report_rows_digest(seeded_eval):
+    # Taken when evaluation.py still trained the models: moving training out moved no row.
+    rows = seeded_eval[2]["rows"]
+    assert [r["objective"] for r in rows] == [
+        "pairwise+listwise", "pairwise", "bce", "mse", "lead", "gold"
+    ]
+    digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode("utf-8")).hexdigest()
+    assert digest == "f4721b271b88f20fbd8d00d0c029b7db8d53f3509c98f61ce99c30da1b79907a"
+
+
+def test_eval_rates_the_models_train_ships(seeded_eval):
+    # Models trained by `train` with eval's flags give eval's rows in the library harness.
+    tmp, corpus, report = seeded_eval
+    train = ["train", "--corpus", str(corpus / "train.jsonl"), *EVAL_FLAGS]
+    for objective in ("pairwise", "bce", "mse"):
+        argv = [*train, "--objective", objective, "--out-dir", str(tmp / objective)]
+        assert dispatch(argv) == 0
+    stage1 = str(tmp / "pairwise" / "model.json")
+    argv = [*train, "--objective", "listwise", "--stage1-model", stage1,
+            "--out-dir", str(tmp / "listwise")]
+    assert dispatch(argv) == 0
+    models = {
+        row: load_model(tmp / objective / "model.json")
+        for row, objective in (
+            ("pairwise+listwise", "listwise"), ("pairwise", "pairwise"), ("bce", "bce"), ("mse", "mse")
+        )
+    }
+    test = load_corpus(corpus / "test.jsonl", split="test")
+    pcfg = PipelineConfig(sample_size=10, per_sample_top=3)
+    rated = run_comparison(test, models, pcfg)
+    assert json.loads(rated.to_json())["rows"] == report["rows"]
+    assert report["corpus_id"] == rated.corpus_id == corpus_digest({"test": test})
+    assert report["config"] == {"pipeline": asdict(pcfg)}
+
+
+def test_eval_reranker_row_alone_also_rates_its_stage1(seeded_eval):
+    tmp, corpus, _ = seeded_eval
+    out = tmp / "reranker-only"
+    code = dispatch(
+        [
+            "eval",
+            "--train-corpus", str(corpus / "train.jsonl"),
+            "--validation-corpus", str(corpus / "validation.jsonl"),
+            "--test-corpus", str(corpus / "test.jsonl"),
+            "--out-dir", str(out),
+            "--objectives", "pairwise+listwise",
+            *EVAL_FLAGS,
+        ]
+    )
+    assert code == 0
+    rows = json.loads((out / "report.json").read_text())["rows"]
+    assert [r["objective"] for r in rows] == ["pairwise+listwise", "pairwise", "lead", "gold"]
+    assert rows == [r for r in seeded_eval[2]["rows"] if r["objective"] not in ("bce", "mse")]
 
 
 def test_eval_rejects_empty_test_split(tmp_path, capsys):

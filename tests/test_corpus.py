@@ -128,6 +128,31 @@ def test_load_rejects_malformed_span(tmp_path, span):
         load_corpus(path)
 
 
+@pytest.mark.parametrize(
+    "field, raw",
+    [
+        ("index", "1e999"),
+        ("index", "1.9"),
+        ("index", "1.0"),
+        ("index", "true"),
+        ("start", "1e999"),
+        ("start", "0.5"),
+        ("end", "2.9"),
+    ],
+)
+def test_load_rejects_non_integer_index_or_span_bound(tmp_path, field, raw):
+    # A float is rejected, not truncated, and one past the float range is not an OverflowError.
+    record = _record("ix", n=4, spans=[[0, 2]])
+    if field == "index":
+        record["utterances"][1]["index"] = "@"
+    else:
+        record["relevant_spans"][0][("start", "end").index(field)] = "@"
+    path = tmp_path / "c.jsonl"
+    path.write_text(json.dumps(_record("ok")) + "\n" + json.dumps(record).replace('"@"', raw) + "\n")
+    with pytest.raises(CorpusFormatError, match="c.jsonl:2: .* must be an integer, got "):
+        load_corpus(path)
+
+
 def test_corpus_rejects_bad_split():
     with pytest.raises(ValidationError):
         Corpus(instances=(), split="dev")

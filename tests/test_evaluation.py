@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +20,13 @@ from uttrank.evaluation import (
 from uttrank.pipeline import ExtractionResult, PipelineConfig, select_topk
 from uttrank.rouge import rouge_l, rouge_n
 from uttrank.synthesis import synth_splits
-from uttrank.trainer import TrainConfig
+from uttrank.trainer import (
+    TrainConfig,
+    prepare_corpus,
+    train_baseline,
+    train_ranker,
+    train_reranker,
+)
 from tests.conftest import make_instance
 
 
@@ -194,25 +201,55 @@ def test_digest_stable_and_content_sensitive():
 
 # ------------------------------------------------------------ run_comparison
 
+def _train_models(prepared, cfg, pcfg):
+    """Every comparison model trained through trainer, keyed by its row name."""
+    models = {}
+    for objective in ("pairwise", "listwise", "bce", "mse"):
+        config = replace(cfg, objective=objective)
+        if objective == "pairwise":
+            models["pairwise"] = train_ranker(prepared, config, pcfg).model
+        elif objective == "listwise":
+            models["pairwise+listwise"] = train_reranker(
+                prepared, models["pairwise"], config, pcfg
+            ).model
+        else:
+            models[objective] = train_baseline(prepared, config, pcfg).model
+    return models
+
+
 @pytest.fixture(scope="module")
 def small_report():
     corpora = synth_splits(12, 4, 6, n_utterances=20, seed=5)
-    cfg = TrainConfig(epochs=2, seed=0)
     pcfg = PipelineConfig(sample_size=10, per_sample_top=3)
-    report = run_comparison(corpora, train_config=cfg, pipeline_config=pcfg)
-    return corpora, cfg, pcfg, report
+    models = _train_models(prepare_corpus(corpora["train"]), TrainConfig(epochs=2, seed=0), pcfg)
+    report = run_comparison(corpora["test"], models, pcfg)
+    return corpora, models, pcfg, report
 
 
-def test_comparison_requires_all_splits():
-    corpora = synth_splits(4, 0, 3, n_utterances=12, seed=6)
-    with pytest.raises(ValidationError, match="validation"):
-        run_comparison(corpora, train_config=TrainConfig(epochs=1))
-
-
-def test_comparison_rejects_unknown_objective():
-    corpora = synth_splits(4, 2, 3, n_utterances=12, seed=6)
+def test_comparison_rejects_unknown_objective(small_report):
+    corpora, models, pcfg, _ = small_report
+    with pytest.raises(ValidationError, match="unknown models \\['hinge'\\]"):
+        run_comparison(corpora["test"], {"pairwise": models["pairwise"], "hinge": models["mse"]})
+    # The reference rows are computed, never given.
     with pytest.raises(ValidationError, match="unknown"):
-        run_comparison(corpora, objectives=("pairwise", "hinge"))
+        run_comparison(corpora["test"], {"gold": models["mse"]})
+
+
+def test_comparison_rejects_reranker_without_stage1(small_report):
+    corpora, models, pcfg, _ = small_report
+    with pytest.raises(ValidationError, match="'pairwise'"):
+        run_comparison(corpora["test"], {"pairwise+listwise": models["pairwise+listwise"]}, pcfg)
+
+
+def test_comparison_rows_follow_the_given_models(small_report):
+    corpora, models, pcfg, report = small_report
+    given = {name: models[name] for name in ("mse", "pairwise")}
+    subset = run_comparison(corpora["test"], given, pcfg)
+    assert [r.objective for r in subset.rows] == ["pairwise", "mse", "lead", "gold"]
+    for row in subset.rows:
+        assert row == report.row(row.objective)
+    only_references = run_comparison(corpora["test"], {}, pcfg)
+    assert [r.objective for r in only_references.rows] == ["lead", "gold"]
 
 
 def test_comparison_row_structure(small_report):
@@ -233,8 +270,8 @@ def test_gold_row_weakly_dominates_ndcg(small_report):
 
 
 def test_comparison_deterministic(small_report):
-    corpora, cfg, pcfg, report = small_report
-    again = run_comparison(corpora, train_config=cfg, pipeline_config=pcfg)
+    corpora, models, pcfg, report = small_report
+    again = run_comparison(corpora["test"], models, pcfg)
     assert again.to_json() == report.to_json()
 
 

@@ -490,6 +490,28 @@ def test_load_rejects_mismatched_checkpoint(tmp_path, corrupt):
         load_model(path)
 
 
+@pytest.mark.parametrize(
+    "key, raw",
+    [
+        ("seed", "2.7"),
+        ("seed", "1e999"),
+        ("seed", "true"),
+        ("layer_dims", f"[{FEATURE_DIM}.9, 4, 1]"),
+        ("layer_dims", f"[{FEATURE_DIM}, 1e999, 1]"),
+        ("layer_dims", f"[{FEATURE_DIM}, 4.0, 1]"),
+    ],
+)
+def test_load_rejects_non_integer_seed_or_dims(tmp_path, key, raw):
+    # A float is rejected, not truncated, and one past the float range is not an OverflowError.
+    path = tmp_path / "model.json"
+    save_model(init_model((FEATURE_DIM, 4, 1), seed=3), path)
+    payload = json.loads(path.read_text())
+    payload[key] = "@"
+    path.write_text(json.dumps(payload).replace('"@"', raw))
+    with pytest.raises(ValidationError, match=f"model.json: '{key}' must be"):
+        load_model(path)
+
+
 def test_load_rejects_non_finite_bias(tmp_path):
     path = tmp_path / "model.json"
     save_model(init_model((FEATURE_DIM, 4, 1), seed=3), path)
