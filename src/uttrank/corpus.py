@@ -115,25 +115,32 @@ def _json_int(value, name: str) -> int:
     return value
 
 
+def _json_str(value, name: str) -> str:
+    """value if JSON parsed it as a string; a number, bool or null is malformed, not converted."""
+    if type(value) is not str:
+        raise TypeError(f"{name} must be a string, got {value!r}")
+    return value
+
+
 def _parse_instance(record: dict, path: str, line_number: int) -> QueryInstance:
     try:
-        meeting_id = str(record["meeting_id"])
+        meeting_id = _json_str(record["meeting_id"], "meeting_id")
         utterances = tuple(
             Utterance(
                 meeting_id=meeting_id,
                 index=_json_int(u["index"], "utterance index"),
-                speaker=str(u["speaker"]),
-                text=str(u["text"]),
+                speaker=_json_str(u["speaker"], "speaker"),
+                text=_json_str(u["text"], "text"),
             )
             for u in record["utterances"]
         )
         spans = record.get("relevant_spans")
         instance = QueryInstance(
-            instance_id=str(record["instance_id"]),
+            instance_id=_json_str(record["instance_id"], "instance_id"),
             meeting_id=meeting_id,
-            query=str(record["query"]),
+            query=_json_str(record["query"], "query"),
             utterances=utterances,
-            gold_summary=str(record["gold_summary"]),
+            gold_summary=_json_str(record["gold_summary"], "gold_summary"),
             relevant_spans=None if spans is None else tuple(
                 (_json_int(a, "span start"), _json_int(b, "span end")) for a, b in spans
             ),

@@ -7,8 +7,10 @@ itself controls. Overlap metrics measure the selected utterances against the
 reference summary, which also depends on budgets, pooling, and selection.
 The harness rates the trained models it is given and trains none itself.
 Every row, trained or reference, is one score vector per test instance (see
-run_comparison). Conclusions drawn from the harness are directional:
-absolute numbers depend on corpus scale and scorer capacity.
+run_comparison), and the harness rates all rows of an instance in one pass:
+one NumPy sort per order, and one ROUGE call for the instance's overlaps.
+Conclusions drawn from the harness are directional: absolute numbers depend
+on corpus scale and scorer capacity.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -24,7 +27,7 @@ from .errors import ValidationError
 from .pipeline import ExtractionResult, PipelineConfig, rank_descending, run_pipeline, select_topk
 from .rouge import RougeScore, rouge_scores
 from .scorer import ScoringModel, score_utterances
-from .trainer import PreparedInstance, prepare_corpus
+from .trainer import prepare_corpus
 
 COMPARISON_OBJECTIVES = ("pairwise+listwise", "pairwise", "bce", "mse")
 REFERENCE_ROWS = ("lead", "gold")
@@ -61,11 +64,15 @@ def ndcg_at_k(predicted_order, relevance, k: int) -> float:
     achievable ordering of that subset. An all-zero ideal defines the metric
     as 1.
     """
-    if k < 1:
-        raise ValidationError(f"k must be >= 1, got {k}")
     order = list(predicted_order)
     relevance = np.asarray(relevance, dtype=np.float64)
-    ideal = rank_descending(relevance, order)
+    return _ndcg(order, rank_descending(relevance, order), relevance, k)
+
+
+def _ndcg(order: list[int], ideal: list[int], relevance: np.ndarray, k: int) -> float:
+    """ndcg_at_k given the ideal order of the same items."""
+    if k < 1:
+        raise ValidationError(f"k must be >= 1, got {k}")
     depth = min(k, len(order))
     discounts = 1.0 / np.log2(np.arange(2, depth + 2))
     dcg = float(np.dot(relevance[order[:depth]], discounts))
@@ -73,10 +80,6 @@ def ndcg_at_k(predicted_order, relevance, k: int) -> float:
     if idcg == 0.0:
         return 1.0
     return dcg / idcg
-
-
-def _positions(order) -> dict:
-    return {item: rank for rank, item in enumerate(order)}
 
 
 def _check_same_elements(order_a, order_b) -> None:
@@ -87,52 +90,65 @@ def _check_same_elements(order_a, order_b) -> None:
 
 
 def kendall_tau(order_a, order_b) -> float:
-    """Tau-a between two orderings of the same elements: (C − D) / C(n,2)."""
+    """Tau-a between two orderings of the same elements: (C − D) / C(n,2).
+
+    seq lists each element's position in order_b in order_a's order, so a
+    pair is discordant exactly when seq orders it against its positions in
+    order_a; the comparison marks each such pair twice, once per direction.
+    """
     order_a, order_b = list(order_a), list(order_b)
     _check_same_elements(order_a, order_b)
     n = len(order_a)
     if n < 2:
         return 1.0
-    pos_b = _positions(order_b)
-    seq = np.array([pos_b[x] for x in order_a])
-    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
-    discordant = int(np.count_nonzero((seq[:, None] > seq[None, :]) & upper))
+    seq = np.empty(n, dtype=np.intp)
+    # The j-th smallest element sits at argsort(a)[j] in a and argsort(b)[j] in b.
+    seq[np.argsort(np.asarray(order_a))] = np.argsort(np.asarray(order_b))
+    rank = np.arange(n)
+    discordant = int(np.count_nonzero((seq[:, None] > seq) != (rank[:, None] > rank))) // 2
     total = n * (n - 1) // 2
     return (total - 2 * discordant) / total
 
 
 def ranking_metrics(predicted_order, relevance, k: int) -> RankingMetrics:
-    """All rank metrics of one ordering against the relevance-ideal ordering."""
+    """All rank metrics of one ordering against the relevance-ideal ordering, sorted once."""
     items = list(predicted_order)
     relevance = np.asarray(relevance, dtype=np.float64)
-    gold = rank_descending(relevance, items)
+    ideal = rank_descending(relevance, items)
     return RankingMetrics(
-        ndcg_at_k=ndcg_at_k(items, relevance, k),
-        kendall_tau=kendall_tau(items, gold),
+        ndcg_at_k=_ndcg(items, ideal, relevance, k),
+        kendall_tau=kendall_tau(items, ideal),
     )
 
 
 def topk_rouge_overlap(
-    extraction: ExtractionResult,
+    extractions: Sequence[ExtractionResult],
     gold_summary: str,
     k_values=(5, 10),
-) -> dict[int, tuple[RougeScore, RougeScore, RougeScore]]:
-    """R-1/R-2/R-L of the top-k selected utterances against the summary.
+) -> list[dict[int, tuple[RougeScore, RougeScore, RougeScore]]]:
+    """R-1/R-2/R-L of each extraction's top-k selected utterances against the summary.
 
-    The k highest-scoring selected utterances (all of them when fewer were
+    extractions are selections from one instance, so they share gold_summary;
+    the result holds one dict per extraction, keyed by k. The k
+    highest-scoring selected utterances (all of them when fewer were
     selected) are concatenated in transcript order before scoring, so the
-    measurement matches the text a generator would actually receive.
+    measurement matches the text a generator would actually receive. Every
+    text is scored in one rouge_scores call, which tokenizes the summary once.
     """
-    n = len(extraction.selected_indices)
-    # Selected indices ascend, so ties by list position are ties by transcript position.
-    by_score = rank_descending(extraction.selection_scores)
-    texts = {}
+    k_values = tuple(k_values)
     for k in k_values:
         if k < 1:
             raise ValidationError(f"k values must be >= 1, got {k}")
-        keep = sorted(by_score[: min(k, n)])  # back to transcript order
-        texts[k] = "\n".join(extraction.selected_texts[i] for i in keep)
-    return dict(zip(texts, rouge_scores(texts.values(), gold_summary)))
+    texts = []
+    for extraction in extractions:
+        n = len(extraction.selected_indices)
+        # Selected indices ascend, so ties by list position are ties by transcript position.
+        by_score = rank_descending(extraction.selection_scores)
+        for k in k_values:
+            keep = sorted(by_score[: min(k, n)])  # back to transcript order
+            texts.append("\n".join(extraction.selected_texts[i] for i in keep))
+    scores = iter(rouge_scores(texts, gold_summary))
+    return [{k: next(scores) for k in k_values} for _ in extractions]
 
 
 @dataclass(frozen=True)
@@ -218,38 +234,6 @@ def corpus_digest(corpora: dict[str, Corpus]) -> str:
     return h.hexdigest()[:16]
 
 
-def _aggregate_row(
-    objective: str, prepared: list[PreparedInstance], selections, k: int
-) -> ComparisonRow:
-    """selections holds one (extraction, predicted_order) pair per prepared instance."""
-    r5 = np.zeros(3)
-    r10 = np.zeros(3)
-    ndcgs, taus = [], []
-    for prep, (extraction, order) in zip(prepared, selections, strict=True):
-        overlap = topk_rouge_overlap(extraction, prep.instance.gold_summary, (5, 10))
-        r5 += [s.f1 for s in overlap[5]]
-        r10 += [s.f1 for s in overlap[10]]
-        metrics = ranking_metrics(order, prep.relevance, k)
-        ndcgs.append(metrics.ndcg_at_k)
-        taus.append(metrics.kendall_tau)
-    n = len(prepared)
-    r5 /= n
-    r10 /= n
-    return ComparisonRow(
-        objective=objective,
-        top5_rouge1=float(r5[0]),
-        top5_rouge2=float(r5[1]),
-        top5_rougeL=float(r5[2]),
-        top10_rouge1=float(r10[0]),
-        top10_rouge2=float(r10[1]),
-        top10_rougeL=float(r10[2]),
-        mean_ndcg=float(np.mean(ndcgs)),
-        mean_tau=float(np.mean(taus)),
-        ndcg_per_instance=tuple(ndcgs),
-        tau_per_instance=tuple(taus),
-    )
-
-
 def run_comparison(
     test: Corpus,
     models: dict[str, ScoringModel],
@@ -266,7 +250,9 @@ def run_comparison(
     that the pairwise model builds (so it needs that model too), and every
     other row selects greedily in its own order. Rank metrics are computed
     over the full utterance ordering, so every row's tau and NDCG are measured
-    on the same element set.
+    on the same element set. Each instance is visited once: all its rows are
+    scored, ranked, extracted and measured together, and each row's sums add
+    up in instance order.
     """
     if not test:
         raise ValidationError("run_comparison needs at least one instance in the 'test' split")
@@ -282,24 +268,43 @@ def run_comparison(
     prepared_test = prepare_corpus(test)
 
     k = pipeline_config.top_k
-    selections: dict[str, list] = {o: [] for o in trained + list(REFERENCE_ROWS)}
+    objectives = trained + list(REFERENCE_ROWS)
+    # Per row, the top-5 then top-10 R-1, R-2 and R-L F1 sums, added in instance order.
+    f1_sums = np.zeros((len(objectives), 6))
+    ndcgs: dict[str, list[float]] = {o: [] for o in objectives}
+    taus: dict[str, list[float]] = {o: [] for o in objectives}
     for prep in prepared_test:
         instance = prep.instance
         n = len(instance.utterances)
         row_scores = {o: score_utterances(models[o], prep.features) for o in trained}
         row_scores["lead"] = np.arange(n, 0, -1, dtype=float)
         row_scores["gold"] = prep.relevance
+        extractions = []
         for objective, scores in row_scores.items():
-            order = rank_descending(scores.tolist())
+            order = rank_descending(scores)
             if objective in ("pairwise", "pairwise+listwise"):
                 extraction = run_pipeline(instance, row_scores["pairwise"], scores, pipeline_config)
             else:
                 extraction = select_topk(order, scores, instance, k, pipeline_config.token_budget)
-            selections[objective].append((extraction, order))
+            extractions.append(extraction)
+            metrics = ranking_metrics(order, prep.relevance, k)
+            ndcgs[objective].append(metrics.ndcg_at_k)
+            taus[objective].append(metrics.kendall_tau)
+        overlaps = topk_rouge_overlap(extractions, instance.gold_summary, (5, 10))
+        for sums, overlap in zip(f1_sums, overlaps, strict=True):
+            sums += [score.f1 for score in (*overlap[5], *overlap[10])]
 
+    f1_means = f1_sums / len(prepared_test)
     rows = tuple(
-        _aggregate_row(objective, prepared_test, selections[objective], k)
-        for objective in selections
+        ComparisonRow(
+            objective,
+            *f1_means[r].tolist(),
+            mean_ndcg=float(np.mean(ndcgs[objective])),
+            mean_tau=float(np.mean(taus[objective])),
+            ndcg_per_instance=tuple(ndcgs[objective]),
+            tau_per_instance=tuple(taus[objective]),
+        )
+        for r, objective in enumerate(objectives)
     )
     return ComparisonReport(
         rows=rows,

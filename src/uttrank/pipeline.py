@@ -9,6 +9,7 @@ utterance indices; re-ranker training pools with the same stage1_pool.
 
 rank_descending is the one rule that turns scores into an order (score
 descending, ties by transcript position); both stages, trainer and metrics use it.
+It is one NumPy sort over a score array, and it rejects a NaN score.
 
 Selected utterances are emitted in transcript order (dialogue coherence for a
 downstream generator); rank order is recoverable from selection_scores. The
@@ -21,6 +22,8 @@ Per-instance runs are independent and may execute in parallel.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .corpus import QueryInstance, partition_samples
 from .errors import ValidationError
@@ -82,10 +85,25 @@ class ExtractionResult:
 
 
 def rank_descending(values, indices=None) -> list[int]:
-    """indices (default: every position of values) by value descending, ties by position."""
+    """indices (default: every position of values) by value descending, ties by position.
+
+    values are compared as float64, so -0.0 ties with 0.0. A NaN among the
+    ranked values has no place in the order and raises ValidationError.
+    """
+    v = np.asarray(values, dtype=np.float64)
     if indices is None:
-        indices = range(len(values))
-    return sorted(indices, key=lambda i: (-values[i], i))
+        order = np.argsort(-v, kind="stable")
+    else:
+        if isinstance(indices, range):  # np.asarray would walk it item by item
+            idx = np.arange(indices.start, indices.stop, indices.step)
+        else:
+            idx = np.asarray(indices, dtype=np.intp)
+        order = idx[np.lexsort((idx, -v[idx]))]
+    # Both sorts put NaN last, so the last item shows whether there is one.
+    if len(order) and np.isnan(v[order[-1]]):
+        position = int(order[np.isnan(v[order])].min())
+        raise ValidationError(f"cannot rank a NaN score, at position {position}")
+    return order.tolist()
 
 
 def stage1_rank(window: range, scores) -> tuple[int, ...]:

@@ -107,7 +107,7 @@ def kl_listwise_loss(pred_scores, gold_scores, k: int) -> LossResult:
     if not 1 <= k <= n:
         raise ValidationError(f"k must be in [1, {n}], got {k}")
 
-    pi = np.asarray(rank_descending(gold.tolist()), dtype=np.int64)
+    pi = np.asarray(rank_descending(gold), dtype=np.int64)
     log_p_gold = _log_prefix_probs(gold, pi, k)[0]
     log_p_pred, e_by_item, tails = _log_prefix_probs(pred, pi, k)
     p_gold = np.exp(log_p_gold)

@@ -10,10 +10,11 @@ Every score comes from exact integer counts. _ngram_counts is the one n-gram
 kernel: it counts the n-grams of many candidate rows of integer token ids
 against one reference in a single count matrix, and ROUGE-N is the clipped
 overlap of that matrix with the reference's counts. ROUGE-L takes one
-bit-parallel LCS per candidate. token_rouge_scores maps the candidates'
-tokens to ids against the reference and scores them all at once; rouge_l,
-rouge_scores and the relevance labels call it, rouge_n (any n) calls the
-kernel for one pair, and scorer builds its overlap features on the kernel.
+bit-parallel LCS per candidate, on match masks of the reference built once
+per call. token_rouge_scores maps the candidates' tokens to ids against the
+reference and scores them all at once; rouge_l, rouge_scores and the
+relevance labels call it, rouge_n (any n) calls the kernel for one pair, and
+scorer builds its overlap features on the kernel.
 """
 
 from __future__ import annotations
@@ -158,24 +159,29 @@ def rouge_n(candidate: str, reference: str, n: int) -> RougeScore:
     return _scores(_rouge_n_prf(*_encode([tokenize(candidate)], tokenize(reference)), n))[0]
 
 
-def lcs_length(a: TokenSequence, b: TokenSequence) -> int:
-    """Longest common subsequence length, bit-parallel (Allison & Dix 1986; Hyyrö 2004).
-
-    Bit j of a token's match mask is set where the shorter sequence holds that
-    token. Bit j of the state v is zero exactly where row i of the classic DP
-    table steps up by one at column j, so after the last token of the longer
-    sequence the zero bits count the LCS. Each token costs a few operations
-    on integers as wide as the shorter sequence; Python ints are unbounded,
-    so the result is exact at any length.
-    """
-    if len(a) < len(b):
-        a, b = b, a  # mask the shorter side
+def _match_masks(b: TokenSequence) -> dict[str, int]:
+    """Bit j of a token's mask is set where b[j] is that token."""
     masks: dict[str, int] = {}
     bit = 1
     for token in b:
         masks[token] = masks.get(token, 0) | bit
         bit <<= 1
-    full = bit - 1
+    return masks
+
+
+def lcs_length(a: TokenSequence, b: TokenSequence, b_masks: dict[str, int] | None = None) -> int:
+    """Longest common subsequence length, bit-parallel (Allison & Dix 1986; Hyyrö 2004).
+
+    b is the masked side: bit j of a token's match mask is set where b holds
+    that token, and b_masks, when given, must be those masks (built once per
+    reference and shared by every candidate). Bit j of the state v is zero
+    exactly where row i of the classic DP table steps up by one at column j,
+    so after the last token of a the zero bits count the LCS. Each token of a
+    costs a few operations on integers as wide as b; Python ints are
+    unbounded, so the result is exact at any length.
+    """
+    masks = _match_masks(b) if b_masks is None else b_masks
+    full = (1 << len(b)) - 1
     v = full
     for token in a:
         m = masks.get(token)
@@ -194,8 +200,11 @@ def _rouge_prf(candidates: Iterable[TokenSequence], reference: TokenSequence):
     """ROUGE-1, ROUGE-2 and ROUGE-L (precision, recall, F1) arrays of the candidates."""
     candidates = list(candidates)
     ids, lengths, ref_ids = _encode(candidates, reference)
+    masks = _match_masks(reference)
     lcs = np.fromiter(
-        (lcs_length(cand, reference) for cand in candidates), dtype=np.int64, count=len(candidates)
+        (lcs_length(cand, reference, masks) for cand in candidates),
+        dtype=np.int64,
+        count=len(candidates),
     )
     return (
         _rouge_n_prf(ids, lengths, ref_ids, 1),

@@ -372,7 +372,7 @@ def load_model(path: str | Path) -> ScoringModel:
         if not isinstance(payload, dict):
             raise ValidationError(f"{path}: checkpoint must hold a JSON object")
         return _model_from_payload(payload, path)
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{path}: unreadable checkpoint: {exc!r}") from exc
 
 
@@ -399,6 +399,16 @@ def _model_from_payload(payload: dict, path: str | Path) -> ScoringModel:
     weights = []
     biases = []
     for l, (fan_in, fan_out) in enumerate(zip(dims, dims[1:])):
+        for key in ("weights", "biases"):
+            # A string or bool is malformed, not converted; JSON true is not 1.0.
+            entries = payload[key][l]
+            if type(entries) is not list:
+                raise ValidationError(f"{path}: layer {l} {key} must be a list, got {entries!r}")
+            bad = [x for x in entries if type(x) not in (int, float)]
+            if bad:
+                raise ValidationError(
+                    f"{path}: layer {l} {key} must be JSON numbers, got {bad[0]!r}"
+                )
         w = np.array(payload["weights"][l], dtype=np.float64)
         b = np.array(payload["biases"][l], dtype=np.float64)
         if w.shape != (fan_out * fan_in,) or b.shape != (fan_out,):

@@ -149,7 +149,7 @@ def locator_labels(prep: PreparedInstance, n_positive: int, use_spans: bool) -> 
         for start, stop in spans:
             labels[max(0, start) : min(n, stop + 1)] = 1.0
         return labels
-    for i in rank_descending(prep.relevance.tolist())[: min(n_positive, n)]:
+    for i in rank_descending(prep.relevance)[: min(n_positive, n)]:
         labels[i] = 1.0
     return labels
 
@@ -190,7 +190,7 @@ def make_objective_assembly(
     """
     targets = np.asarray(targets, dtype=np.float64)
     if objective == "pairwise":
-        perm = rank_descending(targets.tolist())
+        perm = rank_descending(targets)
         return LossAssembly(
             feature_rows=features[perm],
             loss_fn=lambda s: pairwise_margin_loss(s, base_margin),

@@ -239,7 +239,7 @@ def test_criterion_07_reranking_ablation_direction(capsys, planted_seed7):
         bare = run_pipeline(inst, scores, scores, pcfg)
         for key, ext in (("on", full), ("off", bare)):
             ndcg[key].append(ndcg_at_k(list(ext.selected_indices), prep.relevance, 10))
-            overlap[key].append(topk_rouge_overlap(ext, inst.gold_summary)[10][0].f1)
+            overlap[key].append(topk_rouge_overlap([ext], inst.gold_summary)[0][10][0].f1)
 
     d_ndcg = float(np.mean(ndcg["on"])) - float(np.mean(ndcg["off"]))
     d_overlap = float(np.mean(overlap["on"])) - float(np.mean(overlap["off"]))

@@ -56,11 +56,35 @@ def test_load_roundtrip_fixture(tmp_path):
 
 
 def test_load_numeric_meeting_id(tmp_path):
+    # A number is not converted to a string: 7 and "7" are different ids.
     path = tmp_path / "numeric.jsonl"
     _write_jsonl(path, [dict(_record("a"), meeting_id=7)])
-    (instance,) = load_corpus(path).instances
-    assert instance.meeting_id == "7"
-    assert {u.meeting_id for u in instance.utterances} == {"7"}
+    with pytest.raises(CorpusFormatError, match="numeric.jsonl:1: .*meeting_id must be a string"):
+        load_corpus(path)
+
+
+@pytest.mark.parametrize(
+    "field, raw",
+    [
+        ("instance_id", "12345"),
+        ("meeting_id", "7"),
+        ("query", "null"),
+        ("gold_summary", "true"),
+        ("speaker", "1.5"),
+        ("text", "12345"),
+        ("text", '["words"]'),
+    ],
+)
+def test_load_rejects_non_string_field(tmp_path, field, raw):
+    record = _record("st", n=3)
+    if field in ("speaker", "text"):
+        record["utterances"][1][field] = "@"
+    else:
+        record[field] = "@"
+    path = tmp_path / "c.jsonl"
+    path.write_text(json.dumps(_record("ok")) + "\n" + json.dumps(record).replace('"@"', raw) + "\n")
+    with pytest.raises(CorpusFormatError, match=f"c.jsonl:2: .*{field} must be a string, got "):
+        load_corpus(path)
 
 
 def test_load_duplicate_instance_id(tmp_path):

@@ -17,7 +17,7 @@ from uttrank.evaluation import (
     run_comparison,
     topk_rouge_overlap,
 )
-from uttrank.pipeline import ExtractionResult, PipelineConfig, select_topk
+from uttrank.pipeline import ExtractionResult, PipelineConfig, rank_descending, select_topk
 from uttrank.rouge import rouge_l, rouge_n
 from uttrank.synthesis import synth_splits
 from uttrank.trainer import (
@@ -114,6 +114,28 @@ def test_tau_matches_pair_enumeration():
         assert kendall_tau(a, b) == pytest.approx(_tau_brute(a, b), abs=1e-12)
 
 
+def test_tau_on_sparse_elements_matches_pair_enumeration():
+    rng = np.random.default_rng(33)
+    for _ in range(40):
+        items = rng.choice(1000, size=9, replace=False)
+        a = rng.permutation(items).tolist()
+        b = rng.permutation(items).tolist()
+        assert kendall_tau(a, b) == pytest.approx(_tau_brute(a, b), abs=1e-12)
+        assert kendall_tau([f"u{x}" for x in a], [f"u{x}" for x in b]) == kendall_tau(a, b)
+
+
+def test_ranking_metrics_equal_the_separate_metrics():
+    rng = np.random.default_rng(34)
+    for _ in range(30):
+        n = int(rng.integers(1, 40))
+        rel = rng.choice([0.0, 0.25, 0.5, rng.uniform()], size=n)  # ties in the ideal order
+        order = rng.permutation(n).tolist()[: int(rng.integers(1, n + 1))]
+        k = int(rng.integers(1, 12))
+        m = ranking_metrics(order, rel, k)
+        assert m.ndcg_at_k == ndcg_at_k(order, rel, k)
+        assert m.kendall_tau == kendall_tau(order, rank_descending(rel, order))
+
+
 def test_ranking_metrics_perfect_and_ranges():
     rel = [0.9, 0.2, 0.7, 0.4]
     perfect = [0, 2, 3, 1]
@@ -144,14 +166,14 @@ def _extraction(indices, scores, texts, query="q"):
 
 def test_overlap_identical_text_scores_one():
     ext = _extraction([0, 1], [0.9, 0.8], ["the quick brown", "fox jumps"])
-    out = topk_rouge_overlap(ext, "the quick brown\nfox jumps", k_values=(2,))
+    (out,) = topk_rouge_overlap([ext], "the quick brown\nfox jumps", k_values=(2,))
     r1, r2, rl = out[2]
     assert r1.f1 == 1.0 and r2.f1 == 1.0 and rl.f1 == 1.0
 
 
 def test_overlap_disjoint_text_scores_zero():
     ext = _extraction([0], [1.0], ["alpha beta gamma"])
-    out = topk_rouge_overlap(ext, "delta epsilon zeta", k_values=(1,))
+    (out,) = topk_rouge_overlap([ext], "delta epsilon zeta", k_values=(1,))
     assert all(s.f1 == 0.0 for s in out[1])
 
 
@@ -162,7 +184,7 @@ def test_overlap_matches_manual_composition():
     scores = [0.2, 0.9, 0.1, 0.8, 0.5]
     ext = _extraction(list(range(5)), scores, texts)
     gold = "shared words tok1 tok3"
-    out = topk_rouge_overlap(ext, gold, k_values=(3, 10))
+    (out,) = topk_rouge_overlap([ext], gold, k_values=(3, 10))
 
     keep = sorted(sorted(range(5), key=lambda i: -scores[i])[:3])
     joined = "\n".join(texts[i] for i in keep)
@@ -178,14 +200,35 @@ def test_overlap_of_a_truncated_selection_scores_only_the_generator_input():
     inst = make_instance(query="q", texts=["alpha beta gamma delta epsilon zeta"], speakers=["a"])
     ext = select_topk((0,), np.ones(1), inst, top_k=5, token_budget=4)
     assert ext.truncated and ext.generator_input == "q\n\na: alpha beta"
-    r1, r2, rl = topk_rouge_overlap(ext, "zeta epsilon", k_values=(5,))[5]
+    r1, r2, rl = topk_rouge_overlap([ext], "zeta epsilon", k_values=(5,))[0][5]
     assert r1.f1 == 0.0 and r2.f1 == 0.0 and rl.f1 == 0.0
+
+
+def test_overlap_of_many_extractions_equals_one_at_a_time():
+    inst = make_instance()
+    rng = np.random.default_rng(35)
+    extractions = [
+        select_topk(rng.permutation(6).tolist(), scores, inst, top_k, budget)
+        for scores, top_k, budget in (
+            (rng.uniform(size=6), 5, 1024),
+            (np.full(6, 0.5), 3, 1024),  # tied selection scores
+            (rng.uniform(size=6), 10, 1024),
+            (rng.uniform(size=6), 4, 5),  # truncated
+        )
+    ]
+    extractions.append(select_topk((), np.ones(6), inst, 5, 1024))  # nothing selected
+    assert extractions[3].truncated and not extractions[4].selected_indices
+    for k_values in ((5, 10), (1,), (3, 1, 3)):
+        batched = topk_rouge_overlap(extractions, inst.gold_summary, k_values)
+        alone = [topk_rouge_overlap([e], inst.gold_summary, k_values)[0] for e in extractions]
+        assert batched == alone
+    assert topk_rouge_overlap([], inst.gold_summary) == []
 
 
 def test_overlap_rejects_bad_k():
     ext = _extraction([0], [1.0], ["text"])
     with pytest.raises(ValidationError):
-        topk_rouge_overlap(ext, "text", k_values=(0,))
+        topk_rouge_overlap([ext], "text", k_values=(0,))
 
 
 # ------------------------------------------------------------ corpus_digest
@@ -267,6 +310,33 @@ def test_gold_row_weakly_dominates_ndcg(small_report):
     for row in report.rows:
         for g, other in zip(gold.ndcg_per_instance, row.ndcg_per_instance):
             assert g >= other - 1e-12
+
+
+def test_comparison_reference_rows_match_a_per_row_pass(small_report):
+    # The two-pass aggregate the harness used to make: one row at a time,
+    # one overlap call per instance, sums added in instance order.
+    corpora, _, pcfg, report = small_report
+    prepared = prepare_corpus(corpora["test"])
+    for objective in ("lead", "gold"):
+        r5, r10, ndcgs, taus = np.zeros(3), np.zeros(3), [], []
+        for prep in prepared:
+            n = len(prep.instance.utterances)
+            scores = np.arange(n, 0, -1, dtype=float) if objective == "lead" else prep.relevance
+            order = rank_descending(scores)
+            ext = select_topk(order, scores, prep.instance, pcfg.top_k, pcfg.token_budget)
+            (overlap,) = topk_rouge_overlap([ext], prep.instance.gold_summary)
+            r5 += [s.f1 for s in overlap[5]]
+            r10 += [s.f1 for s in overlap[10]]
+            metrics = ranking_metrics(order, prep.relevance, pcfg.top_k)
+            ndcgs.append(metrics.ndcg_at_k)
+            taus.append(metrics.kendall_tau)
+        r5 /= len(prepared)
+        r10 /= len(prepared)
+        row = report.row(objective)
+        assert [row.top5_rouge1, row.top5_rouge2, row.top5_rougeL] == r5.tolist()
+        assert [row.top10_rouge1, row.top10_rouge2, row.top10_rougeL] == r10.tolist()
+        assert (row.ndcg_per_instance, row.tau_per_instance) == (tuple(ndcgs), tuple(taus))
+        assert (row.mean_ndcg, row.mean_tau) == (float(np.mean(ndcgs)), float(np.mean(taus)))
 
 
 def test_comparison_deterministic(small_report):

@@ -88,6 +88,49 @@ def test_rank_descending_on_a_subset_filters_the_full_order(values, data):
     assert rank_descending(values, sorted(subset)) == want
 
 
+def rank_descending_oracle(values, indices=None):
+    """The per-element sort rank_descending replaced: score descending, ties by position."""
+    if indices is None:
+        indices = range(len(values))
+    return sorted(indices, key=lambda i: (-values[i], i))
+
+
+_rank_values = st.one_of(
+    st.lists(st.sampled_from([0.0, -0.0, 0.5, -1.0, 2.5]), max_size=40),  # ties, ±0.0
+    st.lists(st.floats(allow_nan=False, width=64), max_size=40),
+    st.lists(st.integers(-5, 5), max_size=40),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=_rank_values, data=st.data())
+def test_rank_descending_equals_the_sort_oracle(values, data):
+    n = len(values)
+    subset = data.draw(st.lists(st.integers(0, n - 1), unique=True), label="subset") if n else []
+    for given_values in (values, np.array(values, dtype=float)):
+        assert rank_descending(given_values) == rank_descending_oracle(values)
+        assert rank_descending(given_values, subset) == rank_descending_oracle(values, subset)
+        assert rank_descending(given_values, range(n)) == rank_descending_oracle(values)
+    assert rank_descending(values, []) == []
+    assert all(type(i) is int for i in rank_descending(values))
+
+
+def test_rank_descending_of_empty_input():
+    assert rank_descending([]) == []
+    assert rank_descending(np.array([]), []) == []
+
+
+@pytest.mark.parametrize("indices", [None, [3, 0, 1], range(1, 4)])
+def test_rank_descending_rejects_nan(indices):
+    values = [0.5, 1.0, 0.2, float("nan"), float("nan")]
+    with pytest.raises(ValidationError, match="NaN score, at position 3"):
+        rank_descending(values, indices)
+
+
+def test_rank_descending_ignores_nan_outside_the_ranked_subset():
+    assert rank_descending([0.5, float("nan"), 0.7], [0, 2]) == [2, 0]
+
+
 # -------------------------------------------------------------- stage1_rank
 
 def test_stage1_zero_scores_identity_order():

@@ -13,6 +13,7 @@ from tests.counter_oracles import ngram_counts
 from uttrank.errors import ValidationError
 from uttrank.rouge import (
     RougeScore,
+    _match_masks,
     gold_relevance,
     has_tokens,
     lcs_length,
@@ -231,6 +232,19 @@ def test_lcs_equals_dp_oracle(pair):
     a, b = pair
     assert lcs_length(a, b) == _lcs_dp(a, b)
     assert lcs_length(b, a) == _lcs_dp(a, b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(pair=_token_pairs, data=st.data())
+def test_lcs_with_shared_masks_equals_dp_oracle(pair, data):
+    # One reference's masks serve several candidates, in either argument order.
+    a, b = pair
+    candidates = [a, *data.draw(st.lists(st.permutations(a), max_size=3), label="more")]
+    for reference, others in ((b, candidates), (a, [b])):
+        masks = _match_masks(reference)
+        for cand in others:
+            assert lcs_length(cand, reference, masks) == _lcs_dp(cand, reference)
+        assert masks == _match_masks(reference)
 
 
 @pytest.mark.parametrize("length", [29, 30, 31, 32, 63, 64, 65, 127, 128, 129, 200])

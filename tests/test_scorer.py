@@ -512,6 +512,31 @@ def test_load_rejects_non_integer_seed_or_dims(tmp_path, key, raw):
         load_model(path)
 
 
+@pytest.mark.parametrize(
+    "key, raw, message",
+    [
+        ("weights", '"1.5"', "layer 0 weights must be JSON numbers, got '1.5'"),
+        ("weights", "null", "layer 0 weights must be JSON numbers, got None"),
+        ("biases", "true", "layer 0 biases must be JSON numbers, got True"),
+        ("biases", "[0.5]", r"layer 0 biases must be JSON numbers, got \[0.5\]"),
+        ("weights", "1" + "0" * 400, "unreadable checkpoint: OverflowError"),
+    ],
+)
+def test_load_rejects_non_number_parameter(tmp_path, key, raw, message):
+    # "1.5" is not the weight 1.5 and true is not the bias 1.0.
+    path = tmp_path / "model.json"
+    save_model(init_model((FEATURE_DIM, 4, 1), seed=3), path)
+    payload = json.loads(path.read_text())
+    payload[key][0][1] = "@"
+    path.write_text(json.dumps(payload).replace('"@"', raw))
+    with pytest.raises(ValidationError, match=f"model.json: {message}"):
+        load_model(path)
+    payload[key][0] = "@"
+    path.write_text(json.dumps(payload).replace('"@"', '"abc"'))
+    with pytest.raises(ValidationError, match=f"model.json: layer 0 {key} must be a list"):
+        load_model(path)
+
+
 def test_load_rejects_non_finite_bias(tmp_path):
     path = tmp_path / "model.json"
     save_model(init_model((FEATURE_DIM, 4, 1), seed=3), path)
