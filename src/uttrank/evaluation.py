@@ -1,23 +1,24 @@
 """Ranking-quality metrics and the extractor comparison harness.
 
 Two metric families are reported side by side. Rank-level metrics (NDCG and
-Kendall tau) score the order of all utterances by a row's score vector
-against the ROUGE-derived relevance labels and isolate what the scorer
-itself controls. Overlap metrics measure the selected utterances against the
-reference summary, which also depends on budgets, pooling, and selection.
-The harness rates the trained models it is given and trains none itself.
-Every row, trained or reference, is one score vector per test instance (see
-run_comparison), and the harness rates all rows of an instance in one pass:
-one NumPy sort per order, and one ROUGE call for the instance's overlaps.
-Conclusions drawn from the harness are directional: absolute numbers depend
-on corpus scale and scorer capacity.
+Kendall tau, both from ranking_metrics) score the order of all utterances by
+a row's score vector against the ROUGE-derived relevance labels and isolate
+what the scorer itself controls. Overlap metrics measure the selected
+utterances against the reference summary, which also depends on budgets,
+pooling, and selection. The harness rates the trained models it is given and
+trains none itself. Every row, trained or reference, is one score vector per
+test instance (see run_comparison), and the harness rates all rows of an
+instance in one pass: one NumPy sort per order, and one ROUGE call for the
+instance's overlaps. ComparisonRow's fields are the report's columns, in its
+JSON and its table. Conclusions drawn from the harness are directional:
+absolute numbers depend on corpus scale and scorer capacity.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -56,37 +57,8 @@ class RankingMetrics:
 
 
 def ndcg_at_k(predicted_order, relevance, k: int) -> float:
-    """Discounted cumulative gain of the predicted prefix over the ideal one.
-
-    Gain is the raw relevance value, discount 1/log2(rank+1) with ranks from
-    1. The ideal ordering is taken over the same item set as predicted_order,
-    so a ranking of a candidate subset is normalized against the best
-    achievable ordering of that subset. An all-zero ideal defines the metric
-    as 1.
-    """
-    order = list(predicted_order)
-    relevance = np.asarray(relevance, dtype=np.float64)
-    return _ndcg(order, rank_descending(relevance, order), relevance, k)
-
-
-def _ndcg(order: list[int], ideal: list[int], relevance: np.ndarray, k: int) -> float:
-    """ndcg_at_k given the ideal order of the same items."""
-    if k < 1:
-        raise ValidationError(f"k must be >= 1, got {k}")
-    depth = min(k, len(order))
-    discounts = 1.0 / np.log2(np.arange(2, depth + 2))
-    dcg = float(np.dot(relevance[order[:depth]], discounts))
-    idcg = float(np.dot(relevance[ideal[:depth]], discounts))
-    if idcg == 0.0:
-        return 1.0
-    return dcg / idcg
-
-
-def _check_same_elements(order_a, order_b) -> None:
-    if len(set(order_a)) != len(order_a):
-        raise ValidationError("orders must not repeat elements")
-    if len(order_a) != len(order_b) or set(order_a) != set(order_b):
-        raise ValidationError("orders must rank the same element set")
+    """The NDCG@k of ranking_metrics: see there."""
+    return ranking_metrics(predicted_order, relevance, k).ndcg_at_k
 
 
 def kendall_tau(order_a, order_b) -> float:
@@ -97,7 +69,10 @@ def kendall_tau(order_a, order_b) -> float:
     order_a; the comparison marks each such pair twice, once per direction.
     """
     order_a, order_b = list(order_a), list(order_b)
-    _check_same_elements(order_a, order_b)
+    if len(set(order_a)) != len(order_a):
+        raise ValidationError("orders must not repeat elements")
+    if len(order_a) != len(order_b) or set(order_a) != set(order_b):
+        raise ValidationError("orders must rank the same element set")
     n = len(order_a)
     if n < 2:
         return 1.0
@@ -111,14 +86,26 @@ def kendall_tau(order_a, order_b) -> float:
 
 
 def ranking_metrics(predicted_order, relevance, k: int) -> RankingMetrics:
-    """All rank metrics of one ordering against the relevance-ideal ordering, sorted once."""
+    """NDCG@k and Kendall tau of one ordering against the relevance-ideal ordering.
+
+    The ideal ordering is taken over the same items as predicted_order, once
+    for both metrics, so a ranking of a candidate subset is normalized against
+    the best achievable ordering of that subset. NDCG's gain is the raw
+    relevance value, its discount 1/log2(rank+1) with ranks from 1, and an
+    all-zero ideal defines it as 1. An order that repeats an item raises
+    ValidationError (through kendall_tau).
+    """
+    if k < 1:
+        raise ValidationError(f"k must be >= 1, got {k}")
     items = list(predicted_order)
     relevance = np.asarray(relevance, dtype=np.float64)
     ideal = rank_descending(relevance, items)
-    return RankingMetrics(
-        ndcg_at_k=_ndcg(items, ideal, relevance, k),
-        kendall_tau=kendall_tau(items, ideal),
-    )
+    tau = kendall_tau(items, ideal)
+    depth = min(k, len(items))
+    discounts = 1.0 / np.log2(np.arange(2, depth + 2))
+    dcg = float(np.dot(relevance[items[:depth]], discounts))
+    idcg = float(np.dot(relevance[ideal[:depth]], discounts))
+    return RankingMetrics(ndcg_at_k=dcg / idcg if idcg != 0.0 else 1.0, kendall_tau=tau)
 
 
 def topk_rouge_overlap(
@@ -182,13 +169,7 @@ class ComparisonReport:
         raise KeyError(objective)
 
     def to_json(self) -> str:
-        payload = {
-            "corpus_id": self.corpus_id,
-            "ndcg_k": self.ndcg_k,
-            "config": self.config,
-            "rows": [asdict(r) for r in self.rows],
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     def format_table(self) -> str:
         headers = (
@@ -202,19 +183,9 @@ class ComparisonReport:
             f"NDCG@{self.ndcg_k}",
             "tau",
         )
+        # The metric columns are the row's fields from top5_rouge1 to mean_tau.
         body = [
-            (
-                row.objective,
-                f"{row.top5_rouge1:.4f}",
-                f"{row.top5_rouge2:.4f}",
-                f"{row.top5_rougeL:.4f}",
-                f"{row.top10_rouge1:.4f}",
-                f"{row.top10_rouge2:.4f}",
-                f"{row.top10_rougeL:.4f}",
-                f"{row.mean_ndcg:.4f}",
-                f"{row.mean_tau:.4f}",
-            )
-            for row in self.rows
+            (row.objective, *(f"{value:.4f}" for value in astuple(row)[1:9])) for row in self.rows
         ]
         widths = [max(len(h), *(len(r[c]) for r in body)) for c, h in enumerate(headers)]
         lines = [
@@ -225,12 +196,11 @@ class ComparisonReport:
         return "\n".join(lines)
 
 
-def corpus_digest(corpora: dict[str, Corpus]) -> str:
-    h = hashlib.sha256()
-    for split in sorted(corpora):
-        h.update(split.encode("utf-8"))
-        for inst in corpora[split]:
-            h.update(json.dumps(instance_to_record(inst), sort_keys=True).encode("utf-8"))
+def corpus_digest(corpus: Corpus) -> str:
+    """First 16 hex digits of the SHA-256 of the split name, then each instance's record."""
+    h = hashlib.sha256(corpus.split.encode("utf-8"))
+    for inst in corpus:
+        h.update(json.dumps(instance_to_record(inst), sort_keys=True).encode("utf-8"))
     return h.hexdigest()[:16]
 
 
@@ -308,7 +278,7 @@ def run_comparison(
     )
     return ComparisonReport(
         rows=rows,
-        corpus_id=corpus_digest({"test": test}),
+        corpus_id=corpus_digest(test),
         ndcg_k=k,
         config={"pipeline": asdict(pipeline_config)},
     )

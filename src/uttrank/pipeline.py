@@ -6,6 +6,8 @@ and generator-input assembly. Every stage reads score vectors, one score per
 utterance, and no model; the no-re-ranker ablation orders the pool by the
 stage-1 vector. Samples are range windows and the pool is a tuple of
 utterance indices; re-ranker training pools with the same stage1_pool.
+select_topk builds every ExtractionResult, and run_pipeline passes it the
+stage-1 orders to record.
 
 rank_descending is the one rule that turns scores into an order (score
 descending, ties by transcript position); both stages, trainer and metrics use it.
@@ -21,7 +23,7 @@ Per-instance runs are independent and may execute in parallel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -151,12 +153,14 @@ def select_topk(
     instance: QueryInstance,
     top_k: int,
     token_budget: int,
+    stage1_orders=(),
 ) -> ExtractionResult:
     """Greedy walk of the global order under the count and token budgets.
 
     Stops at the first utterance that would exceed either budget. If even the
     first candidate overflows the budget on its own, it is kept truncated and
-    the result is flagged.
+    the result is flagged. stage1_orders, the per-window orders that built
+    global_order's pool (none for a plain ranking), is carried into the result.
     """
     utterances = instance.utterances
     query_tokens = len(instance.query.split())
@@ -198,7 +202,7 @@ def select_topk(
         selection_scores=tuple(float(scores[i]) for i in selected),
         selected_texts=tuple(texts),
         generator_input=generator_input,
-        stage1_orders=(),
+        stage1_orders=tuple(stage1_orders),
         global_order=tuple(global_order),
         truncated=truncated,
     )
@@ -222,7 +226,6 @@ def run_pipeline(
             raise ValidationError(f"{name} holds {len(scores)} scores for {n} utterances")
     stage1_orders, pool = stage1_pool(instance, stage1_scores, config)
     global_order = stage2_rerank(pool, selection_scores)
-    result = select_topk(
-        global_order, selection_scores, instance, config.top_k, config.token_budget
+    return select_topk(
+        global_order, selection_scores, instance, config.top_k, config.token_budget, stage1_orders
     )
-    return replace(result, stage1_orders=stage1_orders)

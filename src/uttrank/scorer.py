@@ -379,7 +379,7 @@ def load_model(path: str | Path) -> ScoringModel:
 def _model_from_payload(payload: dict, path: str | Path) -> ScoringModel:
     schema = payload.get("feature_schema_version")
     if schema != FEATURE_SCHEMA_VERSION:
-        raise ValidationError(f"unsupported feature schema version: {schema}")
+        raise ValidationError(f"{path}: unsupported feature schema version: {schema}")
     names = payload.get("feature_names")
     if names != list(FEATURE_NAMES):
         raise ValidationError(f"{path}: feature names {names} != {list(FEATURE_NAMES)}")

@@ -58,6 +58,12 @@ def test_unknown_subcommand_is_usage_error(capsys):
     assert dispatch(["shred"]) == 2
 
 
+def test_malformed_hidden_dims_flag_is_usage_error(tmp_path, capsys):
+    argv = ["train", "--corpus", "c.jsonl", "--out-dir", str(tmp_path / "o"), "--hidden-dims", "3,x"]
+    assert dispatch(argv) == 2
+    assert "--hidden-dims" in capsys.readouterr().err
+
+
 def test_validation_failure_exits_one(tmp_path, capsys):
     code = dispatch(
         ["train", "--corpus", str(tmp_path / "missing.jsonl"), "--out-dir", str(tmp_path / "o")]
@@ -113,16 +119,26 @@ def test_rouge_identical_pair_scores_one(tmp_path, capsys):
 
 def test_rouge_pairs_tsv_and_errors(tmp_path, capsys):
     tsv = tmp_path / "pairs.tsv"
-    tsv.write_text("a b c\ta b d\nx y\tx y\n", encoding="utf-8")
-    assert dispatch(["rouge", "--pairs", str(tsv)]) == 0
-    payload = json.loads(capsys.readouterr().out)
+    tsv.write_text("a b c\ta b d\n\nx y\tx y\n", encoding="utf-8")  # a blank row is skipped
+    out = tmp_path / "scores"
+    assert dispatch(["rouge", "--pairs", str(tsv), "--out-dir", str(out)]) == 0
+    printed = capsys.readouterr().out
+    payload = json.loads(printed)
     assert len(payload["pairs"]) == 2
     assert payload["pairs"][1]["rouge1"]["f1"] == 1.0
+    assert (out / "rouge.json").read_text() == printed
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["command"] == "rouge"
+    assert list(manifest["input_digests"]) == [str(tsv)]
 
     bad = tmp_path / "bad.tsv"
     bad.write_text("only one column\n", encoding="utf-8")
     assert dispatch(["rouge", "--pairs", str(bad)]) == 1
     assert dispatch(["rouge"]) == 1
+    blank = tmp_path / "blank.tsv"
+    blank.write_text("\n\n\n", encoding="utf-8")
+    assert dispatch(["rouge", "--pairs", str(blank)]) == 1
+    assert "no candidate/reference pairs" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------- synth
@@ -283,6 +299,21 @@ def test_config_file_with_flag_override(trained):
     assert len((out / "loss_history.csv").read_text().splitlines()) == 2
 
 
+@pytest.mark.parametrize("text", [None, "{bad", "[1, 2]"], ids=["missing", "not-json", "a-list"])
+def test_config_file_must_be_a_readable_json_object(trained, tmp_path, capsys, text):
+    _, corpus, _ = trained
+    cfg = tmp_path / "config.json"
+    if text is not None:
+        cfg.write_text(text, encoding="utf-8")
+    out = tmp_path / "cfgrun"
+    code = dispatch(
+        ["train", "--corpus", str(corpus / "train.jsonl"), "--out-dir", str(out), "--config", str(cfg)]
+    )
+    assert code == 1
+    assert str(cfg) in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_file_rejects_unknown_keys(trained):
     tmp, corpus, _ = trained
     cfg = tmp / "bad.json"
@@ -382,17 +413,20 @@ def _flag(key: str) -> str:
             if type(default) is float
             for value in ("nan", "inf")
         ],
+        ("synth", ["--query-words", "0"], "query_words"),
+        ("extract", ["--token-budget", "0"], "token_budget"),
     ],
 )
 def test_bad_values_exit_one_without_traceback(trained, tmp_path, capsys, command, flags, key):
-    _, corpus, _ = trained
-    corpus_flags = {
-        "train": {"--corpus": "train"},
-        "eval": {f"--{split}-corpus": split for split in ("train", "validation", "test")},
-    }.get(command, {})
-    paths = [arg for flag, split in corpus_flags.items() for arg in (flag, str(corpus / f"{split}.jsonl"))]
+    _, corpus, model_dir = trained
+    splits = {split: str(corpus / f"{split}.jsonl") for split in ("train", "validation", "test")}
+    inputs = {
+        "train": ["--corpus", splits["train"]],
+        "extract": ["--corpus", splits["test"], "--model", str(model_dir / "model.json")],
+        "eval": [arg for split in splits for arg in (f"--{split}-corpus", splits[split])],
+    }.get(command, [])
     out = tmp_path / "o"
-    assert dispatch([command, *paths, "--out-dir", str(out), *flags]) == 1
+    assert dispatch([command, *inputs, "--out-dir", str(out), *flags]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and key in err
     assert not [path for path in out.rglob("*") if path.is_file()]
@@ -601,7 +635,7 @@ def test_eval_rates_the_models_train_ships(seeded_eval):
     pcfg = PipelineConfig(sample_size=10, per_sample_top=3)
     rated = run_comparison(test, models, pcfg)
     assert json.loads(rated.to_json())["rows"] == report["rows"]
-    assert report["corpus_id"] == rated.corpus_id == corpus_digest({"test": test})
+    assert report["corpus_id"] == rated.corpus_id == corpus_digest(test)
     assert report["config"] == {"pipeline": asdict(pcfg)}
 
 
@@ -653,14 +687,14 @@ def test_gradcheck_passes_and_writes_json(tmp_path, capsys):
     code = dispatch(
         [
             "gradcheck",
-            "--objectives", "mse,pairwise",
+            "--objectives", "mse,pairwise,bce",  # bce draws binary targets
             "--points", "3",
             "--out-dir", str(out),
         ]
     )
     assert code == 0
     payload = json.loads((out / "gradcheck.json").read_text())
-    assert payload["mse"]["passed"] and payload["pairwise"]["passed"]
+    assert payload["mse"]["passed"] and payload["pairwise"]["passed"] and payload["bce"]["passed"]
     assert dispatch(["gradcheck", "--objectives", "nonsense"]) == 1
 
 

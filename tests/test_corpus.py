@@ -103,6 +103,25 @@ def test_load_index_gap(tmp_path):
         load_corpus(path)
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [("query", "   ", "empty query"), ("utterances", [], "no utterances")],
+)
+def test_load_rejects_an_empty_query_or_transcript(tmp_path, field, value, message):
+    record = dict(_record("hollow"), **{field: value})
+    path = tmp_path / "c.jsonl"
+    _write_jsonl(path, [_record("ok"), record])
+    with pytest.raises(ValidationError, match=f"instance 'hollow': {message}"):
+        load_corpus(path)
+
+
+def test_load_skips_blank_lines(tmp_path):
+    path = tmp_path / "c.jsonl"
+    lines = [json.dumps(_record("a")), "", "   ", json.dumps(_record("b")), ""]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert [inst.instance_id for inst in load_corpus(path)] == ["a", "b"]
+
+
 def test_load_empty_utterance_text(tmp_path):
     rec = _record("blank")
     rec["utterances"][1]["text"] = "   ...   "

@@ -7,9 +7,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from uttrank.corpus import Corpus
 from uttrank.errors import ValidationError
 from uttrank.evaluation import (
     ComparisonReport,
+    ComparisonRow,
     corpus_digest,
     kendall_tau,
     ndcg_at_k,
@@ -62,6 +64,13 @@ def test_ndcg_normalizes_within_the_ranked_subset():
 def test_ndcg_rejects_bad_k():
     with pytest.raises(ValidationError):
         ndcg_at_k([0, 1], [1.0, 0.0], k=0)
+
+
+@pytest.mark.parametrize("order", [[0, 0, 0], [2, 2]])
+def test_ndcg_rejects_a_repeated_item(order):
+    # Each order once scored 1.0: the repeat was counted as if it were distinct.
+    with pytest.raises(ValidationError, match="repeat"):
+        ndcg_at_k(order, [1.0, 0.0, 0.5], len(order))
 
 
 def test_ndcg_bounded_random():
@@ -234,12 +243,20 @@ def test_overlap_rejects_bad_k():
 # ------------------------------------------------------------ corpus_digest
 
 def test_digest_stable_and_content_sensitive():
-    a = synth_splits(4, 2, 2, n_utterances=12, seed=1)
-    b = synth_splits(4, 2, 2, n_utterances=12, seed=1)
-    c = synth_splits(4, 2, 2, n_utterances=12, seed=2)
+    a = synth_splits(4, 2, 2, n_utterances=12, seed=1)["test"]
+    b = synth_splits(4, 2, 2, n_utterances=12, seed=1)["test"]
+    c = synth_splits(4, 2, 2, n_utterances=12, seed=2)["test"]
     assert corpus_digest(a) == corpus_digest(b)
     assert corpus_digest(a) != corpus_digest(c)
     assert len(corpus_digest(a)) == 16
+
+
+def test_digest_hashes_the_split_then_the_records():
+    # Literals taken from the digest of {"test": test}, the form that once
+    # keyed each corpus by its split; a report's corpus_id keeps its value.
+    test = synth_splits(4, 2, 2, n_utterances=12, seed=1)["test"]
+    assert corpus_digest(test) == "a0507c25dc534e2c"
+    assert corpus_digest(replace(test, split="validation")) != corpus_digest(test)
 
 
 # ------------------------------------------------------------ run_comparison
@@ -276,6 +293,12 @@ def test_comparison_rejects_unknown_objective(small_report):
     # The reference rows are computed, never given.
     with pytest.raises(ValidationError, match="unknown"):
         run_comparison(corpora["test"], {"gold": models["mse"]})
+
+
+def test_comparison_rejects_an_empty_test_split(small_report):
+    _, models, pcfg, _ = small_report
+    with pytest.raises(ValidationError, match="at least one instance"):
+        run_comparison(Corpus(instances=(), split="test"), models, pcfg)
 
 
 def test_comparison_rejects_reranker_without_stage1(small_report):
@@ -350,6 +373,22 @@ def test_report_serialization_round_trip(small_report):
     payload = json.loads(report.to_json())
     assert payload["corpus_id"] == report.corpus_id
     assert len(payload["rows"]) == len(report.rows)
-    table = report.format_table()
-    assert "objective" in table and "gold" in table
-    assert all(len(line.split()) >= 9 for line in table.splitlines()[2:])
+    assert [ComparisonRow(**row) for row in payload["rows"]] == [
+        replace(r, ndcg_per_instance=list(r.ndcg_per_instance),
+                tau_per_instance=list(r.tau_per_instance))
+        for r in report.rows
+    ]
+    lines = report.format_table().splitlines()
+    assert lines[0].split() == [
+        "objective", "top5", "R-1", "top5", "R-2", "top5", "R-L",
+        "top10", "R-1", "top10", "R-2", "top10", "R-L", f"NDCG@{report.ndcg_k}", "tau",
+    ]
+    metric_fields = (
+        "top5_rouge1", "top5_rouge2", "top5_rougeL",
+        "top10_rouge1", "top10_rouge2", "top10_rougeL", "mean_ndcg", "mean_tau",
+    )
+    assert len(lines) == 2 + len(report.rows)
+    for line, row in zip(lines[2:], report.rows, strict=True):
+        assert line.split() == [
+            row.objective, *(f"{getattr(row, name):.4f}" for name in metric_fields)
+        ]

@@ -415,8 +415,9 @@ def test_pipeline_on_random_score_vectors(n, sample_size, top_k, data):
     stage1 = data.draw(vector, label="stage1")
     selection = data.draw(vector, label="selection")
     base = run_pipeline(inst, stage1, selection, config)
-    _, pool = stage1_pool(inst, stage1, config)
+    orders, pool = stage1_pool(inst, stage1, config)
     assert base.global_order == tuple(sorted(pool, key=lambda i: (-selection[i], i)))
+    assert base.stage1_orders == orders
 
     # Selections depend on each vector's order only.
     f = data.draw(st.sampled_from(_INCREASING), label="transform")
@@ -433,6 +434,8 @@ def test_pipeline_on_random_score_vectors(n, sample_size, top_k, data):
     plain = select_topk(want, stage1, inst, config.top_k, config.token_budget)
     assert ablation.selected_indices == plain.selected_indices
     assert ablation.selection_scores == plain.selection_scores
+    assert plain.stage1_orders == ()
+    assert select_topk(want, stage1, inst, config.top_k, config.token_budget, orders) == ablation
 
     # A vector of the wrong length is rejected, in either place.
     for wrong in (stage1[:-1], np.append(stage1, 0)):

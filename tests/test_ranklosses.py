@@ -325,6 +325,21 @@ def test_kl_rejects_length_mismatch():
         kl_listwise_loss([0.0, 1.0], [0.0, 1.0, 2.0], 1)
 
 
+@pytest.mark.parametrize(
+    "loss, args, message",
+    [
+        (kl_listwise_loss, ([0.5], [1.0], 1), ">= 2 scores"),
+        (kl_listwise_loss, ([0.0, 1.0, 2.0], [2.0, 1.0, 0.0], 0), "k must be in"),
+        (kl_listwise_loss, ([0.0, 1.0, 2.0], [2.0, 1.0, 0.0], 4), "k must be in"),
+        (mse_simulator_loss, ([0.0, 1.0], [0.0, 1.0, 2.0]), "shape"),
+    ],
+    ids=["kl-one-score", "kl-k-zero", "kl-k-past-n", "mse-shapes"],
+)
+def test_losses_reject_malformed_input(loss, args, message):
+    with pytest.raises(ValidationError, match=message):
+        loss(*args)
+
+
 def test_kl_reference_is_gold_order():
     # gold scores with a clear order; reference permutation must sort them
     gold = [0.1, 0.9, 0.5]

@@ -253,6 +253,18 @@ def test_init_rejects_wide_output():
         init_model((7, 16, 2), seed=0)
 
 
+def test_init_rejects_an_empty_layer():
+    with pytest.raises(ValidationError, match="positive"):
+        init_model((7, 0, 1), seed=0)
+
+
+def test_set_flat_params_rejects_a_wrong_length():
+    model = init_model((7, 4, 1), seed=0)
+    for size in (num_params(model) - 1, num_params(model) + 1):
+        with pytest.raises(ValidationError, match="parameter vector shape"):
+            set_flat_params(model, np.zeros(size))
+
+
 # ---------------------------------------------------------------- forward
 
 def test_forward_zero_model_scores_zero():
@@ -468,6 +480,18 @@ def _spell_weight(payload):
     payload["weights"][0][0] = "x"
 
 
+def _bump_schema(payload):
+    payload["feature_schema_version"] = 2
+
+
+def _drop_schema(payload):
+    del payload["feature_schema_version"]
+
+
+def _hold_a_list(payload):
+    return [payload]
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -478,16 +502,21 @@ def _spell_weight(payload):
         _widen_biases,
         _drop_seed,
         _spell_weight,
+        _bump_schema,
+        _drop_schema,
+        _hold_a_list,
     ],
 )
 def test_load_rejects_mismatched_checkpoint(tmp_path, corrupt):
     path = tmp_path / "model.json"
     save_model(init_model((FEATURE_DIM, 4, 1), seed=3), path)
     payload = json.loads(path.read_text())
-    corrupt(payload)
+    # A corruption edits the payload in place or returns what to write instead.
+    payload = corrupt(payload) or payload
     path.write_text(json.dumps(payload))
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError) as excinfo:
         load_model(path)
+    assert str(path) in str(excinfo.value)
 
 
 @pytest.mark.parametrize(

@@ -316,6 +316,11 @@ def test_trainer_rejects_wrong_objective(planted):
         train_ranker(prepared, TrainConfig(objective="bce"))
     with pytest.raises(ValidationError):
         train_baseline(prepared, TrainConfig(objective="pairwise"))
+    stage1 = init_model((FEATURE_DIM, 4, 1), seed=0)
+    with pytest.raises(ValidationError, match="expects objective 'listwise'"):
+        train_reranker(prepared, stage1, TrainConfig(objective="pairwise"))
+    with pytest.raises(ValidationError, match="unknown objective 'nope'"):
+        make_objective_assembly("nope", prepared[0].features, prepared[0].relevance)
 
 
 def test_trainer_errors_on_corpus_without_pairs():
