@@ -33,6 +33,7 @@ import argparse
 import csv
 import hashlib
 import inspect
+import io
 import json
 import logging
 import os
@@ -100,7 +101,7 @@ def _load_config_file(path) -> dict:
         return {}
     try:
         loaded = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8 or not JSON
         raise ValidationError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(loaded, dict):
         raise ValidationError(f"config file {path} must hold a JSON object")
@@ -291,25 +292,32 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
+def _read_text(path, newline=None) -> str:
+    """The UTF-8 text of path; a ValidationError naming path if it cannot be read."""
+    try:
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read {path}: {exc}") from exc
+
+
 def _rouge_pairs(args: argparse.Namespace) -> list[tuple[str, str]]:
     if args.pairs:
         pairs = []
-        with open(args.pairs, encoding="utf-8", newline="") as fh:
-            for row_number, row in enumerate(csv.reader(fh, delimiter="\t"), start=1):
-                if not row:
-                    continue
-                if len(row) != 2:
-                    raise ValidationError(
-                        f"{args.pairs}:{row_number}: expected 2 tab-separated columns, got {len(row)}"
-                    )
-                pairs.append((row[0], row[1]))
+        rows = csv.reader(io.StringIO(_read_text(args.pairs, newline=""), newline=""), delimiter="\t")
+        for row_number, row in enumerate(rows, start=1):
+            if not row:
+                continue
+            if len(row) != 2:
+                raise ValidationError(
+                    f"{args.pairs}:{row_number}: expected 2 tab-separated columns, got {len(row)}"
+                )
+            pairs.append((row[0], row[1]))
         if not pairs:
             raise ValidationError(f"{args.pairs}: no candidate/reference pairs found")
         return pairs
     if args.candidate and args.reference:
-        candidate = Path(args.candidate).read_text(encoding="utf-8")
-        reference = Path(args.reference).read_text(encoding="utf-8")
-        return [(candidate, reference)]
+        return [(_read_text(args.candidate), _read_text(args.reference))]
     raise ValidationError("rouge needs either --pairs TSV or both --candidate and --reference")
 
 
@@ -369,11 +377,10 @@ def _cmd_gradcheck(args: argparse.Namespace) -> int:
     cfg = _resolve(args, GRADCHECK_DEFAULTS)
     if cfg["points"] < 1:
         raise ValidationError(f"points must be >= 1, got {cfg['points']}")
-    if cfg["seed"] < 0:
-        raise ValidationError(f"seed must be >= 0, got {cfg['seed']}")
+    config = _build(TrainConfig, cfg)  # checks seed and hidden_dims
     objectives = _objectives(cfg["objectives"], OBJECTIVES)
-    rng = np.random.default_rng(cfg["seed"])
-    dims = (FEATURE_DIM, *cfg["hidden_dims"], 1)
+    rng = np.random.default_rng(config.seed)
+    dims = (FEATURE_DIM, *config.hidden_dims, 1)
     results = {}
     all_passed = True
     for objective in objectives:

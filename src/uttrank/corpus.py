@@ -3,7 +3,9 @@
 A corpus file is UTF-8 JSONL: one instance record per line with fields
 `instance_id`, `meeting_id`, `query`, `gold_summary`, `utterances` (array of
 {index, speaker, text}), and optional `relevant_spans` ([start, end] inclusive
-index pairs). This mirrors the annotation structure of query-focused meeting
+index pairs). Lines end at a line feed (LF or CRLF; a bare CR ends no line),
+and each line is decoded on its own, so a byte that is not UTF-8 is reported
+at its line. This mirrors the annotation structure of query-focused meeting
 corpora with topic segmentation and relevant spans.
 
 All corpus values are immutable after construction and safe to share across
@@ -56,9 +58,9 @@ class QueryInstance:
     relevant_spans: tuple[tuple[int, int], ...] | None = None
 
     def validate(self) -> None:
-        if not self.query.strip():
+        if not has_tokens(self.query):
             raise ValidationError(f"instance {self.instance_id!r}: empty query")
-        if not self.gold_summary.strip():
+        if not has_tokens(self.gold_summary):
             raise ValidationError(f"instance {self.instance_id!r}: empty gold_summary")
         if not self.utterances:
             raise ValidationError(f"instance {self.instance_id!r}: no utterances")
@@ -156,11 +158,15 @@ def load_corpus(path: str | Path, split: str = "train") -> Corpus:
     path = Path(path)
     instances = []
     try:
-        fh = path.open("r", encoding="utf-8")
+        fh = path.open("rb")
     except OSError as exc:
         raise CorpusFormatError(str(path), 0, f"cannot open corpus file: {exc}") from exc
     with fh:
-        for line_number, line in enumerate(fh, start=1):
+        for line_number, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CorpusFormatError(str(path), line_number, f"not UTF-8: {exc}") from exc
             if not line.strip():
                 continue
             try:

@@ -8,8 +8,8 @@ All four objectives train through one loop. train_ranker (pairwise) and
 train_baseline (bce, mse) make one unit per partition_samples window;
 train_reranker (listwise) makes one unit per stage-1 candidate pool, with
 the stage-1 ranker frozen. Each checks its objective and names its row
-groups; _train builds the units, skips instances with fewer than two
-utterances, and runs the epochs.
+groups; _train builds the units, skips any window or pool of fewer than two
+utterances, in which nothing can be compared, and runs the epochs.
 
 Plain gradient descent with no optimizer state: every run is a pure function
 of (corpus, config, seed) and repeated runs produce bit-identical models.
@@ -100,6 +100,8 @@ class TrainConfig:
             raise ValidationError(f"epochs must be >= 1, got {self.epochs}")
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
+        if not all(d >= 1 for d in self.hidden_dims):
+            raise ValidationError(f"hidden_dims must all be >= 1, got {self.hidden_dims}")
         if self.listwise_k < 1:
             raise ValidationError(f"listwise_k must be >= 1, got {self.listwise_k}")
         if self.locator_positives < 1:
@@ -251,21 +253,26 @@ def _train(
 ) -> TrainResult:
     """Train a fresh model on one unit per row group of every instance.
 
-    groups(prep) gives the utterance indices of each unit of one instance.
-    Instances with fewer than two utterances are skipped with a warning.
+    groups(prep) gives the utterance indices of each unit of one instance: its
+    windows or its candidate pool. A group of fewer than two utterances admits
+    no comparison and is skipped with a warning; partition_samples gives such
+    a window only to a one-utterance instance.
     """
     units = []
     for prep in prepared:
-        n = len(prep.instance.utterances)
-        if n < 2:
-            logger.warning("skipping instance %s: fewer than 2 utterances", prep.instance.instance_id)
-            continue
         if config.objective == "bce":
             targets_all = locator_labels(prep, config.locator_positives, config.locator_use_spans)
         else:
             targets_all = prep.relevance
         for group in groups(prep):
             members = list(group)
+            if len(members) < 2:
+                logger.warning(
+                    "skipping instance %s: its window or pool has %d utterance(s)",
+                    prep.instance.instance_id,
+                    len(members),
+                )
+                continue
             units.append(
                 make_objective_assembly(
                     config.objective,
@@ -316,7 +323,7 @@ def train_reranker(
     """Train the global re-ranker on pooled stage-1 candidates, one unit per pool.
 
     Stage 1 is frozen: pools are fixed before the epoch loop, by the
-    pipeline's stage1_pool. Pools with fewer than two members are skipped
+    pipeline's stage1_pool. _train skips a pool of fewer than two members
     with a warning.
     """
     if config.objective != "listwise":
@@ -324,15 +331,7 @@ def train_reranker(
 
     def pools(prep: PreparedInstance) -> list[tuple[int, ...]]:
         scores = score_utterances(stage1_model, prep.features)
-        _, pool = stage1_pool(prep.instance, scores, pipeline_config)
-        if len(pool) < 2:
-            logger.warning(
-                "skipping instance %s: candidate pool has %d member(s)",
-                prep.instance.instance_id,
-                len(pool),
-            )
-            return []
-        return [pool]
+        return [stage1_pool(prep.instance, scores, pipeline_config)[1]]
 
     return _train(prepared, config, pools)
 

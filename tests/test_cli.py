@@ -140,6 +140,20 @@ def test_rouge_pairs_tsv_and_errors(tmp_path, capsys):
     assert dispatch(["rouge", "--pairs", str(blank)]) == 1
     assert "no candidate/reference pairs" in capsys.readouterr().err
 
+    # A file that is missing or not UTF-8 is named, with no traceback.
+    latin = tmp_path / "latin.tsv"
+    latin.write_bytes(b"caf\xe9\tcafe\n")
+    missing = str(tmp_path / "nope.txt")
+    for argv, path in [
+        (["--pairs", missing], missing),
+        (["--pairs", str(latin)], str(latin)),
+        (["--candidate", missing, "--reference", str(tsv)], missing),
+        (["--candidate", str(tsv), "--reference", str(latin)], str(latin)),
+    ]:
+        assert dispatch(["rouge", *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {path}")
+
 
 # ---------------------------------------------------------------------- synth
 
@@ -299,11 +313,17 @@ def test_config_file_with_flag_override(trained):
     assert len((out / "loss_history.csv").read_text().splitlines()) == 2
 
 
-@pytest.mark.parametrize("text", [None, "{bad", "[1, 2]"], ids=["missing", "not-json", "a-list"])
+@pytest.mark.parametrize(
+    "text",
+    [None, "{bad", "[1, 2]", b'{"epochs": "\xff"}'],
+    ids=["missing", "not-json", "a-list", "not-utf8"],
+)
 def test_config_file_must_be_a_readable_json_object(trained, tmp_path, capsys, text):
     _, corpus, _ = trained
     cfg = tmp_path / "config.json"
-    if text is not None:
+    if isinstance(text, bytes):
+        cfg.write_bytes(text)
+    elif text is not None:
         cfg.write_text(text, encoding="utf-8")
     out = tmp_path / "cfgrun"
     code = dispatch(
@@ -415,6 +435,11 @@ def _flag(key: str) -> str:
         ],
         ("synth", ["--query-words", "0"], "query_words"),
         ("extract", ["--token-budget", "0"], "token_budget"),
+        # Checked with the other TrainConfig fields, before any input is read.
+        ("train", ["--hidden-dims", "0"], "hidden_dims"),
+        ("train", ["--hidden-dims=-3"], "hidden_dims"),
+        ("eval", ["--hidden-dims", "8,0"], "hidden_dims"),
+        ("gradcheck", ["--hidden-dims", "0"], "hidden_dims"),
     ],
 )
 def test_bad_values_exit_one_without_traceback(trained, tmp_path, capsys, command, flags, key):

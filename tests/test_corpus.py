@@ -105,7 +105,13 @@ def test_load_index_gap(tmp_path):
 
 @pytest.mark.parametrize(
     "field, value, message",
-    [("query", "   ", "empty query"), ("utterances", [], "no utterances")],
+    [
+        ("query", "   ", "empty query"),
+        ("utterances", [], "no utterances"),
+        # Punctuation alone has no tokens, so every relevance label would be 0.
+        ("query", "?!", "empty query"),
+        ("gold_summary", "?? -- !!", "empty gold_summary"),
+    ],
 )
 def test_load_rejects_an_empty_query_or_transcript(tmp_path, field, value, message):
     record = dict(_record("hollow"), **{field: value})
@@ -137,6 +143,14 @@ def test_load_malformed_line_cites_line_number(tmp_path):
         fh.write(json.dumps(_record("ok")) + "\n")
         fh.write("{not json\n")
     with pytest.raises(CorpusFormatError, match="2"):
+        load_corpus(path)
+
+
+def test_load_non_utf8_line_cites_its_line_number(tmp_path):
+    path = tmp_path / "bad.jsonl"
+    # Line 1 ends in CRLF and loads; line 2 holds a byte that is not UTF-8.
+    path.write_bytes(json.dumps(_record("ok")).encode() + b'\r\n{"query": "\xff"}\n')
+    with pytest.raises(CorpusFormatError, match=r"bad\.jsonl:2: not UTF-8"):
         load_corpus(path)
 
 

@@ -382,6 +382,32 @@ def test_reranker_skips_tiny_pools_and_errors_when_none_remain(caplog):
     assert any("pool" in rec.message for rec in caplog.records)
 
 
+@pytest.mark.parametrize("objective", ["pairwise", "bce", "listwise"])
+def test_one_utterance_instance_is_skipped_and_changes_nothing(tiny_corpus, caplog, objective):
+    # Its only window, and its pool, hold one utterance: no unit, and no change to the units.
+    solo = make_instance("solo", "meet-solo", texts=["the tabby cat sat"])
+    with_solo = Corpus(instances=(tiny_corpus.instances[0], solo, tiny_corpus.instances[1]))
+    pcfg = PipelineConfig(sample_size=3, per_sample_top=2)
+    config = TrainConfig(objective=objective, epochs=3, seed=5)
+
+    def train(corpus):
+        prepared = prepare_corpus(corpus)
+        if objective == "listwise":
+            stage1 = init_model((FEATURE_DIM, 4, 1), seed=1)
+            return train_reranker(prepared, stage1, config, pipeline_config=pcfg)
+        trainer = train_ranker if objective == "pairwise" else train_baseline
+        return trainer(prepared, config, pipeline_config=pcfg)
+
+    without = train(tiny_corpus)
+    with caplog.at_level(logging.WARNING, logger="uttrank.trainer"):
+        result = train(with_solo)
+    assert np.array_equal(flat_params(result.model), flat_params(without.model))
+    assert result.epoch_losses == without.epoch_losses
+    assert [rec.getMessage() for rec in caplog.records] == [
+        "skipping instance solo: its window or pool has 1 utterance(s)"
+    ]
+
+
 def test_reranker_beats_stage1_scores_on_pools(planted):
     # held-out pool ordering: the re-ranker's refined sort should not lose to
     # raw stage-1 scores on the same candidate pools
