@@ -19,10 +19,11 @@ Each run that writes files also writes a manifest.json next to them recording
 the command, the resolved configuration with its typed values, the seed, the
 toolkit version, and content digests of the input files. Outputs are
 byte-identical across runs with identical inputs and seeds; only the manifest
-timestamp differs. Every output file is written through fileio.atomic_open, so
-a command that fails part-way leaves the previous file, if any, and no partial
-one. No command creates its --out-dir before its inputs have loaded and
-validated, so a run rejected for its inputs leaves no directory behind.
+timestamp differs. Every file is read as text, digested and written through
+fileio, whose atomic_open leaves the previous output, if any, and no partial
+one when a command fails part-way. The --out-dir is created by the first write,
+after the inputs have loaded and validated, so a run rejected for its inputs
+leaves no directory behind; an output path that cannot be written exits 1.
 
 Exit codes: 0 success, 1 validation/domain error, 2 usage error.
 """
@@ -31,7 +32,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import inspect
 import io
 import json
@@ -48,7 +48,7 @@ from . import __version__
 from .corpus import SPLITS, load_corpus, save_corpus
 from .errors import UttrankError, ValidationError
 from .evaluation import COMPARISON_OBJECTIVES, REFERENCE_ROWS, run_comparison
-from .fileio import atomic_open
+from .fileio import atomic_open, read_text, sha256, write_text
 from .pipeline import PipelineConfig, run_pipeline
 from .rouge import rouge_scores
 from .scorer import (
@@ -71,37 +71,24 @@ logger = logging.getLogger(__name__)
 __all__ = ["dispatch", "main"]
 
 
-def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(65536), b""):
-            h.update(block)
-    return h.hexdigest()
-
-
-def _write_text(path: Path, text: str) -> None:
-    with atomic_open(path) as fh:
-        fh.write(text)
-
-
 def _write_manifest(out_dir: Path, command: str, config: dict, seed, inputs) -> None:
     manifest = {
         "command": command,
         "config": config,
         "seed": seed,
         "version": __version__,
-        "input_digests": {str(p): _sha256(Path(p)) for p in inputs},
+        "input_digests": {str(p): sha256(p) for p in inputs},
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
-    _write_text(out_dir / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_text(out_dir / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _load_config_file(path) -> dict:
     if path is None:
         return {}
     try:
-        loaded = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:  # ValueError: not UTF-8 or not JSON
+        loaded = json.loads(read_text(path))
+    except ValueError as exc:  # not JSON
         raise ValidationError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(loaded, dict):
         raise ValidationError(f"config file {path} must hold a JSON object")
@@ -177,12 +164,6 @@ def _objectives(text: str, known) -> list[str]:
     return names
 
 
-def _out_dir(path) -> Path:
-    out = Path(path)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 TRAIN_DEFAULTS = {
     **_defaults(TrainConfig),
     **_defaults(PipelineConfig, ("sample_size", "per_sample_top")),
@@ -207,11 +188,15 @@ def _cmd_train(args: argparse.Namespace) -> int:
             "--stage1-model is required with objective 'listwise' and rejected with any other, "
             f"got objective {train_config.objective!r}"
         )
+    out = Path(args.out_dir)
+    if args.stage1_model and (out / "model.json").resolve() == Path(args.stage1_model).resolve():
+        raise ValidationError(
+            f"--out-dir {args.out_dir} would overwrite the --stage1-model {args.stage1_model}"
+        )
     prepared = prepare_corpus(load_corpus(args.corpus, split="train"))
     stage1 = load_model(args.stage1_model) if args.stage1_model else None
     result = _train(prepared, train_config, pipeline_config, stage1)
 
-    out = _out_dir(args.out_dir)
     save_model(result.model, out / "model.json")
     with atomic_open(out / "loss_history.csv", newline="") as fh:
         writer = csv.writer(fh)
@@ -234,7 +219,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     # Without --reranker the stage-1 model also orders the pool (the ablation).
     checkpoints = [path for path in (args.model, args.reranker) if path]
     models = [load_model(path) for path in checkpoints]
-    out = _out_dir(args.out_dir)
+    out = Path(args.out_dir)
     with atomic_open(out / "extractions.jsonl") as fh:
         for instance in corpus:
             features = instance_features(instance)  # extraction needs no gold labels
@@ -283,28 +268,19 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             config = replace(train_config, objective=_TRAINED_AS.get(name, name))
             models[name] = _train(prepared, config, pipeline_config, models.get("pairwise")).model
     report = run_comparison(test, models, pipeline_config)
-    out = _out_dir(args.out_dir)
-    _write_text(out / "report.json", report.to_json() + "\n")
-    _write_text(out / "report.txt", report.format_table() + "\n")
+    out = Path(args.out_dir)
+    write_text(out / "report.json", report.to_json() + "\n")
+    write_text(out / "report.txt", report.format_table() + "\n")
     print(report.format_table())
     inputs = [args.train_corpus, args.validation_corpus, args.test_corpus]
     _write_manifest(out, "eval", cfg, train_config.seed, inputs)
     return 0
 
 
-def _read_text(path, newline=None) -> str:
-    """The UTF-8 text of path; a ValidationError naming path if it cannot be read."""
-    try:
-        with open(path, encoding="utf-8", newline=newline) as fh:
-            return fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ValidationError(f"cannot read {path}: {exc}") from exc
-
-
 def _rouge_pairs(args: argparse.Namespace) -> list[tuple[str, str]]:
     if args.pairs:
         pairs = []
-        rows = csv.reader(io.StringIO(_read_text(args.pairs, newline=""), newline=""), delimiter="\t")
+        rows = csv.reader(io.StringIO(read_text(args.pairs, newline=""), newline=""), delimiter="\t")
         for row_number, row in enumerate(rows, start=1):
             if not row:
                 continue
@@ -317,7 +293,7 @@ def _rouge_pairs(args: argparse.Namespace) -> list[tuple[str, str]]:
             raise ValidationError(f"{args.pairs}: no candidate/reference pairs found")
         return pairs
     if args.candidate and args.reference:
-        return [(_read_text(args.candidate), _read_text(args.reference))]
+        return [(read_text(args.candidate), read_text(args.reference))]
     raise ValidationError("rouge needs either --pairs TSV or both --candidate and --reference")
 
 
@@ -347,8 +323,8 @@ def _cmd_rouge(args: argparse.Namespace) -> int:
     payload = json.dumps({"pairs": rows, "mean": mean}, indent=2, sort_keys=True)
     print(payload)
     if args.out_dir:
-        out = _out_dir(args.out_dir)
-        _write_text(out / "rouge.json", payload + "\n")
+        out = Path(args.out_dir)
+        write_text(out / "rouge.json", payload + "\n")
         inputs = [p for p in (args.pairs, args.candidate, args.reference) if p]
         _write_manifest(out, "rouge", {}, None, inputs)
     return 0
@@ -396,8 +372,8 @@ def _cmd_gradcheck(args: argparse.Namespace) -> int:
     payload = json.dumps(results, indent=2, sort_keys=True)
     print(payload)
     if args.out_dir:
-        out = _out_dir(args.out_dir)
-        _write_text(out / "gradcheck.json", payload + "\n")
+        out = Path(args.out_dir)
+        write_text(out / "gradcheck.json", payload + "\n")
         _write_manifest(out, "gradcheck", cfg, cfg["seed"], [])
     return 0 if all_passed else 1
 
@@ -427,7 +403,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     n_test = cfg["test_instances"] or max(1, n_train // 4)
     keywords = {k: cfg[k] for k in _SYNTH_KEYWORDS}
     splits = synth_splits(n_train, n_validation, n_test, n_utterances=cfg["utterances"], **keywords)
-    out = _out_dir(args.out_dir)
+    out = Path(args.out_dir)
     for split in SPLITS:
         save_corpus(splits[split], out / f"{split}.jsonl")
     resolved = dict(cfg, validation_instances=n_validation, test_instances=n_test)
@@ -511,8 +487,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def dispatch(argv) -> int:
+    level = os.environ.get("UTTRANK_LOG_LEVEL", "WARNING")
+    names = list(logging.getLevelNamesMapping())
+    if level.upper() not in names:
+        print(f"error: UTTRANK_LOG_LEVEL must be one of {names}, got {level!r}", file=sys.stderr)
+        return 1
     logging.basicConfig(
-        level=os.environ.get("UTTRANK_LOG_LEVEL", "WARNING").upper(),
+        level=level.upper(),
         format="%(levelname)s %(name)s: %(message)s",
         force=True,
     )

@@ -195,8 +195,6 @@ def instance_to_record(instance: QueryInstance) -> dict:
 
 def save_corpus(corpus: Corpus | Iterable[QueryInstance], path: str | Path) -> None:
     """Write instances as JSONL; load_corpus on the result round-trips exactly."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     with atomic_open(path) as fh:
         for instance in corpus:
             fh.write(json.dumps(instance_to_record(instance), ensure_ascii=False) + "\n")

@@ -36,7 +36,7 @@ import numpy as np
 
 from .corpus import QueryInstance, Utterance
 from .errors import ValidationError
-from .fileio import atomic_open
+from .fileio import read_text, write_text
 from .rouge import _ngram_counts, _ngram_prf, _ratio, tokenize
 
 FEATURE_NAMES = (
@@ -358,21 +358,17 @@ def save_model(model: ScoringModel, path: str | Path) -> None:
         "feature_schema_version": FEATURE_SCHEMA_VERSION,
         "feature_names": list(FEATURE_NAMES),
     }
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with atomic_open(path) as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    write_text(path, json.dumps(payload, indent=2) + "\n")
 
 
 def load_model(path: str | Path) -> ScoringModel:
     """Read a checkpoint, rejecting any this feature schema cannot score with."""
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        payload = json.loads(read_text(path))  # a read failure is read_text's, not caught here
         if not isinstance(payload, dict):
             raise ValidationError(f"{path}: checkpoint must hold a JSON object")
         return _model_from_payload(payload, path)
-    except (OSError, KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{path}: unreadable checkpoint: {exc!r}") from exc
 
 

@@ -3,8 +3,10 @@
 import hashlib
 import inspect
 import json
+import logging
 import os
 import re
+import shutil
 import subprocess
 import sys
 from dataclasses import asdict
@@ -485,6 +487,95 @@ def test_rejected_run_leaves_no_out_dir(trained, tmp_path, capsys, command):
     assert dispatch([*argv, "--out-dir", str(out)]) == 1
     assert capsys.readouterr().err.startswith("error:")
     assert not out.exists()
+
+
+def _assert_cannot_write(capsys, tmp_path, path) -> None:
+    """The run printed one error naming path, with no traceback and no temporary file left."""
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write") and str(path) in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.rglob(".*.tmp"))
+
+
+@pytest.mark.parametrize("command", ["synth", "train", "extract", "eval", "rouge", "gradcheck"])
+def test_out_dir_naming_a_file_exits_one(trained, tmp_path, capsys, command):
+    _, corpus, model_dir = trained
+    splits = {split: str(corpus / f"{split}.jsonl") for split in ("train", "validation", "test")}
+    text = tmp_path / "text.txt"
+    text.write_text("some words\n", encoding="utf-8")
+    small = ["--epochs", "1", "--sample-size", "10"]
+    argv = {
+        "synth": ["synth", "--instances", "2", "--utterances", "4"],
+        "train": ["train", "--corpus", splits["train"], *small],
+        "extract": ["extract", "--corpus", splits["test"], "--model", str(model_dir / "model.json")],
+        "eval": [
+            "eval", *[arg for split in splits for arg in (f"--{split}-corpus", splits[split])],
+            "--objectives", "pairwise", *small,
+        ],
+        "rouge": ["rouge", "--candidate", str(text), "--reference", str(text)],
+        "gradcheck": ["gradcheck", "--objectives", "mse", "--points", "1"],
+    }[command]
+    out = tmp_path / "a-file"
+    out.write_text("not a directory\n", encoding="utf-8")
+    assert dispatch([*argv, "--out-dir", str(out)]) == 1
+    _assert_cannot_write(capsys, tmp_path, out)
+    assert out.read_text(encoding="utf-8") == "not a directory\n"
+
+
+@pytest.mark.parametrize("case", ["under-a-file", "output-is-a-directory"])
+@pytest.mark.parametrize("command, first_output", [("synth", "train.jsonl"), ("train", "model.json")])
+def test_unusable_output_path_exits_one(trained, tmp_path, capsys, case, command, first_output):
+    _, corpus, _ = trained
+    argv = {
+        "synth": ["synth", "--instances", "2", "--utterances", "4"],
+        "train": ["train", "--corpus", str(corpus / "train.jsonl"), "--epochs", "1"],
+    }[command]
+    if case == "under-a-file":
+        (tmp_path / "a-file").write_text("not a directory\n", encoding="utf-8")
+        out = named = tmp_path / "a-file" / "sub"
+    else:
+        out = tmp_path / "o"
+        named = out / first_output
+        named.mkdir(parents=True)
+    assert dispatch([*argv, "--out-dir", str(out)]) == 1
+    _assert_cannot_write(capsys, tmp_path, named)
+    if case == "output-is-a-directory":
+        assert [p.name for p in out.iterdir()] == [first_output] and named.is_dir()
+
+
+@pytest.mark.parametrize("spelling", ["same", "dotted"])
+def test_listwise_train_keeps_its_stage1_checkpoint(trained, tmp_path, capsys, spelling):
+    # A re-ranker saved over its own stage 1 would leave a manifest naming the
+    # wrong digest for the stage-1 input.
+    _, corpus, model_dir = trained
+    run = tmp_path / "r"
+    shutil.copytree(model_dir, run)
+    before = {p.name: p.read_bytes() for p in run.iterdir()}
+    out = run if spelling == "same" else tmp_path / "r" / ".." / "r"
+    code = dispatch(
+        [
+            "train",
+            "--corpus", str(corpus / "train.jsonl"),
+            "--out-dir", str(out),
+            "--objective", "listwise",
+            "--stage1-model", str(run / "model.json"),
+            "--epochs", "1",
+            "--sample-size", "10",
+        ]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(run / "model.json") in err and str(out) in err
+    assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+
+
+def test_unknown_log_level_exits_one(monkeypatch, capsys):
+    monkeypatch.setenv("UTTRANK_LOG_LEVEL", "bogus")
+    assert dispatch(["gradcheck", "--objectives", "mse", "--points", "1"]) == 1
+    names = list(logging.getLevelNamesMapping())
+    captured = capsys.readouterr()
+    assert captured.err == f"error: UTTRANK_LOG_LEVEL must be one of {names}, got 'bogus'\n"
+    assert captured.out == ""
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -1,12 +1,17 @@
-"""File output: corpus JSONL round-trips and atomic replacement of run outputs."""
+"""The file system edge: corpus JSONL round-trips, atomic replacement of run
+outputs, and no file-system call in the package outside fileio."""
 
+import ast
 import string
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import uttrank
 from uttrank.corpus import Corpus, QueryInstance, Utterance, load_corpus, save_corpus
+from uttrank.errors import ValidationError
 from uttrank.fileio import atomic_open
 from uttrank.scorer import init_model, load_model, save_model
 
@@ -65,9 +70,70 @@ def test_failed_save_model_keeps_previous_checkpoint(tmp_path):
     save_model(init_model((7, 3, 1), seed=1), path)
     before = path.read_bytes()
     broken = init_model((7, 3, 1), seed=2)
-    broken.seed = object()  # serialized after the weights, so the failure comes mid-file
+    broken.seed = object()  # not JSON: save_model fails before anything replaces model.json
     with pytest.raises(TypeError):
         save_model(broken, path)
     assert path.read_bytes() == before
     assert load_model(path).seed == 1
     assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+
+
+def test_atomic_open_creates_missing_directories(tmp_path):
+    path = tmp_path / "a" / "b" / "out.txt"
+    with atomic_open(path) as fh:
+        fh.write("text\n")
+    assert path.read_text(encoding="utf-8") == "text\n"
+    assert [p.name for p in path.parent.iterdir()] == ["out.txt"]
+
+
+@pytest.mark.parametrize("where", ["target-is-a-directory", "parent-is-a-file"])
+def test_failed_write_names_the_target_and_leaves_no_temp_file(tmp_path, where):
+    blocker = tmp_path / "x"
+    if where == "target-is-a-directory":
+        blocker.mkdir()  # the open succeeds and os.replace fails
+        path = blocker
+    else:
+        blocker.write_text("a file\n", encoding="utf-8")
+        path = blocker / "out.txt"
+    with pytest.raises(ValidationError) as info:
+        with atomic_open(path) as fh:
+            fh.write("text\n")
+    assert str(info.value).startswith(f"cannot write {path}: ")
+    assert [p.name for p in tmp_path.rglob("*")] == ["x"]
+
+
+# Calls that touch the file system. Only fileio makes them, but for
+# corpus.load_corpus, which decodes its bytes line by line to name the line of
+# a byte that is not UTF-8.
+_FS_METHODS = {"open", "mkdir", "read_text", "write_text", "read_bytes", "write_bytes"}
+_ALLOWED = {("corpus.py", "load_corpus")}
+
+
+def _touches_files(func: ast.expr) -> bool:
+    if isinstance(func, ast.Name):
+        return func.id == "open"
+    if not isinstance(func, ast.Attribute):
+        return False
+    on_os = isinstance(func.value, ast.Name) and func.value.id == "os"
+    return func.attr in _FS_METHODS or (on_os and func.attr in ("replace", "unlink"))
+
+
+def _file_system_calls(node: ast.AST, function: str = "<module>"):
+    """(function, line) of each file-system call under node, by its innermost function."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call) and _touches_files(child.func):
+            yield function, child.lineno
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
+        yield from _file_system_calls(child, inner)
+
+
+def test_only_fileio_touches_the_file_system():
+    package = Path(uttrank.__file__).resolve().parent
+    found = [
+        (module.name, function, line)
+        for module in sorted(package.glob("*.py"))
+        if module.name != "fileio.py"
+        for function, line in _file_system_calls(ast.parse(module.read_text(encoding="utf-8")))
+    ]
+    assert [site for site in found if site[:2] not in _ALLOWED] == []
+    assert {site[:2] for site in found} == _ALLOWED  # the scan sees the one call it allows
