@@ -12,18 +12,26 @@ a config-file value must have the default's JSON type: an integer, a number,
 true/false, a string, or a list of integers for hidden_dims. eval trains each
 requested objective through the same objective dispatch as train (_train),
 the re-ranker with the stage-1 settings and on a pairwise stage 1 that it
-rates as well, then rates the models with evaluation.run_comparison. extract
-re-ranks exactly when --reranker is given.
+rates as well, then rates the models with evaluation.run_comparison. When both
+the stage-1 rows and the baselines are requested, stage 1 and the re-ranker
+train in one forked child process (_run_beside) while the baselines, the
+longer chain, train in this process, so that it does not sit idle waiting for
+the child; every model is a pure function of (corpus, config, seed) and
+returns with its bits intact, so the report's bytes do not depend on it. This
+module is the only one that starts a process. extract re-ranks exactly when
+--reranker is given.
 
 Each run that writes files also writes a manifest.json next to them recording
 the command, the resolved configuration with its typed values, the seed, the
-toolkit version, and content digests of the input files. Outputs are
-byte-identical across runs with identical inputs and seeds; only the manifest
-timestamp differs. Every file is read as text, digested and written through
-fileio, whose atomic_open leaves the previous output, if any, and no partial
-one when a command fails part-way. The --out-dir is created by the first write,
-after the inputs have loaded and validated, so a run rejected for its inputs
-leaves no directory behind; an output path that cannot be written exits 1.
+toolkit version, and content digests of the input files. A run whose --out-dir
+holds another command's manifest.json exits 1 before it writes anything.
+Outputs are byte-identical across runs with identical inputs and seeds; only
+the manifest timestamp differs. Every file is read as text, digested and
+written through fileio, whose atomic_open leaves the previous output, if any,
+and no partial one when a command fails part-way. The --out-dir is created by
+the first write, after the inputs have loaded and validated, so a run rejected
+for its inputs leaves no directory behind; an output path that cannot be
+written exits 1.
 
 Exit codes: 0 success, 1 validation/domain error, 2 usage error.
 """
@@ -36,10 +44,12 @@ import inspect
 import io
 import json
 import logging
+import multiprocessing
 import os
 import sys
 from dataclasses import replace
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -83,12 +93,28 @@ def _write_manifest(out_dir: Path, command: str, config: dict, seed, inputs) -> 
     write_text(out_dir / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
+def _check_manifest(out_dir: Path, command: str) -> None:
+    """Reject an out_dir whose manifest.json another command wrote, as command would replace it."""
+    text = read_text(out_dir / "manifest.json", missing_ok=True)
+    if text is None:
+        return
+    try:
+        owner = json.loads(text).get("command")
+    except (ValueError, RecursionError, AttributeError):  # not a JSON object
+        owner = None
+    if owner != command:
+        raise ValidationError(
+            f"--out-dir {out_dir} holds the manifest.json of {owner!r}, which {command!r} "
+            "would replace; write to another directory"
+        )
+
+
 def _load_config_file(path) -> dict:
     if path is None:
         return {}
     try:
         loaded = json.loads(read_text(path))
-    except ValueError as exc:  # not JSON
+    except (ValueError, RecursionError) as exc:  # not JSON, or nested too deeply
         raise ValidationError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(loaded, dict):
         raise ValidationError(f"config file {path} must hold a JSON object")
@@ -247,6 +273,62 @@ EVAL_DEFAULTS = {
 
 # The trainer objective of each comparison row that is not named after one.
 _TRAINED_AS = {"pairwise+listwise": "listwise"}
+# The rows eval trains, as two chains that share no model: the re-ranker pools
+# with the pairwise model, the baselines stand alone.
+_CHAINS = (("pairwise", "pairwise+listwise"), ("bce", "mse"))
+
+
+def _train_chain(prepared, train_config: TrainConfig, pipeline_config: PipelineConfig, names):
+    """The model of each row in names, trained in order; the re-ranker's stage 1 is the pairwise one."""
+    models = {}
+    for name in names:
+        config = replace(train_config, objective=_TRAINED_AS.get(name, name))
+        models[name] = _train(prepared, config, pipeline_config, models.get("pairwise")).model
+    return models
+
+
+def _send_outcome(sender, work) -> None:
+    """The forked child's body: work's result, or the exception it raised, sent through sender."""
+    try:
+        outcome = work()
+    except Exception as exc:  # raised again in the parent
+        outcome = exc
+    sender.send(outcome)
+
+
+def _run_beside(work, beside, name: str):
+    """(work(), beside()), with beside run at the same time in one forked child process.
+
+    Fork hands the child this process's memory, so nothing is pickled on the
+    way in; beside's result comes back pickled through a one-way pipe, and a
+    float64 array keeps its bits. An exception beside raised is raised here;
+    a child that dies without sending is a UttrankError naming the process and
+    its exit code. The child is terminated when work fails or is interrupted,
+    and always joined, so no process outlives the call.
+    """
+    context = multiprocessing.get_context("fork")
+    receiver, sender = context.Pipe(duplex=False)
+    child = context.Process(target=_send_outcome, args=(sender, beside), name=name)
+    child.start()
+    sender.close()  # the child's copy is then the only one, so its death reads as EOF
+    try:
+        result = work()
+        try:
+            outcome = receiver.recv()
+        except EOFError:
+            child.join()
+            raise UttrankError(
+                f"the {name} process exited with code {child.exitcode} before sending its result"
+            ) from None
+    except BaseException:
+        child.terminate()
+        raise
+    finally:
+        child.join()
+        receiver.close()
+    if isinstance(outcome, BaseException):
+        raise outcome
+    return result, outcome
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
@@ -262,11 +344,18 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     prepared = prepare_corpus(train)
     # The re-ranker pools with the pairwise model, so that one is trained too, and first.
     wanted = {*objectives, "pairwise"} if "pairwise+listwise" in objectives else set(objectives)
-    models = {}
-    for name in ("pairwise", "pairwise+listwise", "bce", "mse"):
-        if name in wanted:
-            config = replace(train_config, objective=_TRAINED_AS.get(name, name))
-            models[name] = _train(prepared, config, pipeline_config, models.get("pairwise")).model
+    stage1, baselines = ([name for name in chain if name in wanted] for chain in _CHAINS)
+    train_rows = partial(_train_chain, prepared, train_config, pipeline_config)
+    if stage1 and baselines:
+        # Stage 1 trains in a forked child meanwhile. The baselines, the longer
+        # chain, train here, so that this process computes to the end instead
+        # of sleeping on the pipe while the child finishes.
+        trained, models = _run_beside(
+            partial(train_rows, baselines), partial(train_rows, stage1), "stage-1 training"
+        )
+        models.update(trained)
+    else:
+        models = train_rows(stage1 + baselines)
     report = run_comparison(test, models, pipeline_config)
     out = Path(args.out_dir)
     write_text(out / "report.json", report.to_json() + "\n")
@@ -503,6 +592,8 @@ def dispatch(argv) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if getattr(args, "out_dir", None):
+            _check_manifest(Path(args.out_dir), args.command)
         return args.func(args)
     except UttrankError as exc:
         print(f"error: {exc}", file=sys.stderr)

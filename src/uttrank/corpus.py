@@ -171,7 +171,7 @@ def load_corpus(path: str | Path, split: str = "train") -> Corpus:
                 continue
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deeply
                 raise CorpusFormatError(str(path), line_number, f"invalid JSON: {exc}") from exc
             instances.append(_parse_instance(record, str(path), line_number))
     return Corpus(instances=tuple(instances), split=split)

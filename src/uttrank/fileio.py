@@ -21,12 +21,17 @@ from .errors import ValidationError
 __all__ = ["atomic_open", "read_text", "sha256", "write_text"]
 
 
-def read_text(path: str | Path, newline: str | None = None) -> str:
-    """The UTF-8 text of path; a ValidationError naming path if it cannot be read."""
+def read_text(path: str | Path, newline: str | None = None, missing_ok: bool = False) -> str | None:
+    """The UTF-8 text of path; a ValidationError naming path if it cannot be read.
+
+    With missing_ok, a path that names no file, or lies under a file, gives None.
+    """
     try:
         with open(path, encoding="utf-8", newline=newline) as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
+        if missing_ok and isinstance(exc, (FileNotFoundError, NotADirectoryError)):
+            return None
         raise ValidationError(f"cannot read {path}: {exc}") from exc
 
 

@@ -368,7 +368,7 @@ def load_model(path: str | Path) -> ScoringModel:
         if not isinstance(payload, dict):
             raise ValidationError(f"{path}: checkpoint must hold a JSON object")
         return _model_from_payload(payload, path)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise ValidationError(f"{path}: unreadable checkpoint: {exc!r}") from exc
 
 

@@ -1,20 +1,25 @@
 """End-to-end command-line behaviour: exit codes, files, determinism."""
 
+import contextlib
 import hashlib
 import inspect
 import json
 import logging
+import multiprocessing
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
+import time
 from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
 import uttrank
+from uttrank import cli
 from uttrank.cli import (
     EVAL_DEFAULTS,
     EXTRACT_DEFAULTS,
@@ -25,6 +30,7 @@ from uttrank.cli import (
     dispatch,
 )
 from uttrank.corpus import QueryInstance, Utterance, load_corpus, save_corpus
+from uttrank.errors import ValidationError
 from uttrank.evaluation import corpus_digest, run_comparison
 from uttrank.pipeline import PipelineConfig
 from uttrank.scorer import load_model
@@ -168,6 +174,27 @@ def test_synth_same_seed_is_byte_identical(tmp_path):
     man_b = json.loads((b / "manifest.json").read_text())
     man_a["timestamp"] = man_b["timestamp"] = None
     assert man_a == man_b
+
+
+@pytest.mark.parametrize(
+    "manifest", [None, "{not json", "[" * 200_000], ids=["synth", "not-json", "nested-too-deeply"]
+)
+def test_out_dir_holding_another_commands_manifest_exits_one(tmp_path, capsys, manifest):
+    data = _synth(tmp_path, "d")
+    if manifest is not None:  # one that no uttrank command wrote
+        (data / "manifest.json").write_text(manifest, encoding="utf-8")
+    before = {p.name: p.read_bytes() for p in data.iterdir()}
+    argv = ["train", "--corpus", str(data / "train.jsonl"), "--epochs", "1", "--sample-size", "6"]
+    assert dispatch([*argv, "--out-dir", str(data)]) == 1
+    err = capsys.readouterr().err
+    owner = "'synth'" if manifest is None else "None"
+    assert err.startswith(f"error: --out-dir {data} holds the manifest.json of {owner}")
+    assert {p.name: p.read_bytes() for p in data.iterdir()} == before
+    # The same command may write into its own directory again.
+    assert dispatch([*argv, "--out-dir", str(tmp_path / "t")]) == 0
+    assert dispatch([*argv, "--out-dir", str(tmp_path / "t")]) == 0
+    if manifest is None:
+        assert _synth(tmp_path, "d") == data
 
 
 def test_synth_manifest_and_resolved_counts(tmp_path):
@@ -317,8 +344,8 @@ def test_config_file_with_flag_override(trained):
 
 @pytest.mark.parametrize(
     "text",
-    [None, "{bad", "[1, 2]", b'{"epochs": "\xff"}'],
-    ids=["missing", "not-json", "a-list", "not-utf8"],
+    [None, "{bad", "[1, 2]", b'{"epochs": "\xff"}', "[" * 200_000],
+    ids=["missing", "not-json", "a-list", "not-utf8", "nested-too-deeply"],
 )
 def test_config_file_must_be_a_readable_json_object(trained, tmp_path, capsys, text):
     _, corpus, _ = trained
@@ -332,7 +359,8 @@ def test_config_file_must_be_a_readable_json_object(trained, tmp_path, capsys, t
         ["train", "--corpus", str(corpus / "train.jsonl"), "--out-dir", str(out), "--config", str(cfg)]
     )
     assert code == 1
-    assert str(cfg) in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(cfg) in err
     assert not out.exists()
 
 
@@ -700,28 +728,48 @@ def test_eval_writes_report(tmp_path, capsys):
 EVAL_FLAGS = ["--epochs", "3", "--sample-size", "10", "--per-sample-top", "3"]
 
 
+@contextlib.contextmanager
+def _process_starts():
+    """The processes started inside the block, in the order they started."""
+    started = []
+    start = multiprocessing.process.BaseProcess.start
+
+    def spy(process):
+        started.append(process)
+        start(process)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(multiprocessing.process.BaseProcess, "start", spy)
+        yield started
+
+
 @pytest.fixture(scope="module")
 def seeded_eval(tmp_path_factory):
-    """A seeded synth corpus and the eval report over it, with every comparison row."""
+    """A seeded synth corpus, the eval report over it with every comparison row,
+    and the processes that eval started."""
     tmp = tmp_path_factory.mktemp("seeded-eval")
     corpus = _synth(tmp, "c", instances=40, validation_instances=0, test_instances=10,
                     utterances=40, seed=101)
     out = tmp / "eval"
-    assert dispatch(
-        [
-            "eval",
-            "--train-corpus", str(corpus / "train.jsonl"),
-            "--validation-corpus", str(corpus / "validation.jsonl"),
-            "--test-corpus", str(corpus / "test.jsonl"),
-            "--out-dir", str(out),
-            *EVAL_FLAGS,
-        ]
-    ) == 0
-    return tmp, corpus, json.loads((out / "report.json").read_text())
+    with _process_starts() as started:
+        assert dispatch(
+            [
+                "eval",
+                "--train-corpus", str(corpus / "train.jsonl"),
+                "--validation-corpus", str(corpus / "validation.jsonl"),
+                "--test-corpus", str(corpus / "test.jsonl"),
+                "--out-dir", str(out),
+                *EVAL_FLAGS,
+            ]
+        ) == 0
+    return tmp, corpus, json.loads((out / "report.json").read_text()), started
 
 
 def test_eval_report_rows_digest(seeded_eval):
     # Taken when evaluation.py still trained the models: moving training out moved no row.
+    # Stage 1 and the re-ranker trained in the one forked child, so the digest holds for that path.
+    assert [p.name for p in seeded_eval[3]] == ["stage-1 training"]
+    assert seeded_eval[3][0].exitcode == 0
     rows = seeded_eval[2]["rows"]
     assert [r["objective"] for r in rows] == [
         "pairwise+listwise", "pairwise", "bce", "mse", "lead", "gold"
@@ -731,8 +779,10 @@ def test_eval_report_rows_digest(seeded_eval):
 
 
 def test_eval_rates_the_models_train_ships(seeded_eval):
-    # Models trained by `train` with eval's flags give eval's rows in the library harness.
-    tmp, corpus, report = seeded_eval
+    # Models trained by `train` with eval's flags give eval's rows in the library harness,
+    # stage 1 and the re-ranker among them trained in eval's one forked child.
+    tmp, corpus, report, started = seeded_eval
+    assert [p.name for p in started] == ["stage-1 training"]
     train = ["train", "--corpus", str(corpus / "train.jsonl"), *EVAL_FLAGS]
     for objective in ("pairwise", "bce", "mse"):
         argv = [*train, "--objective", objective, "--out-dir", str(tmp / objective)]
@@ -756,23 +806,103 @@ def test_eval_rates_the_models_train_ships(seeded_eval):
 
 
 def test_eval_reranker_row_alone_also_rates_its_stage1(seeded_eval):
-    tmp, corpus, _ = seeded_eval
+    tmp, corpus, _, _ = seeded_eval
     out = tmp / "reranker-only"
-    code = dispatch(
-        [
-            "eval",
-            "--train-corpus", str(corpus / "train.jsonl"),
-            "--validation-corpus", str(corpus / "validation.jsonl"),
-            "--test-corpus", str(corpus / "test.jsonl"),
-            "--out-dir", str(out),
-            "--objectives", "pairwise+listwise",
-            *EVAL_FLAGS,
-        ]
-    )
+    with _process_starts() as started:
+        code = dispatch(
+            [
+                "eval",
+                "--train-corpus", str(corpus / "train.jsonl"),
+                "--validation-corpus", str(corpus / "validation.jsonl"),
+                "--test-corpus", str(corpus / "test.jsonl"),
+                "--out-dir", str(out),
+                "--objectives", "pairwise+listwise",
+                *EVAL_FLAGS,
+            ]
+        )
     assert code == 0
+    assert started == []  # one chain trains in this process
     rows = json.loads((out / "report.json").read_text())["rows"]
     assert [r["objective"] for r in rows] == ["pairwise+listwise", "pairwise", "lead", "gold"]
     assert rows == [r for r in seeded_eval[2]["rows"] if r["objective"] not in ("bce", "mse")]
+
+
+def _failing_eval(tmp_path):
+    """eval's argv on a small corpus, every row requested, and the --out-dir it names."""
+    corpus = _synth(tmp_path, "c", instances=6, validation_instances=2, test_instances=2)
+    out = tmp_path / "report"
+    argv = [
+        "eval",
+        "--train-corpus", str(corpus / "train.jsonl"),
+        "--validation-corpus", str(corpus / "validation.jsonl"),
+        "--test-corpus", str(corpus / "test.jsonl"),
+        "--out-dir", str(out),
+        "--epochs", "1",
+    ]
+    return argv, out
+
+
+def _assert_nothing_left(out) -> None:
+    assert multiprocessing.active_children() == []
+    assert not out.exists()
+
+
+def test_eval_stage1_failure_in_the_child_exits_one(tmp_path, capsys, monkeypatch):
+    argv, out = _failing_eval(tmp_path)
+
+    def diverge(*args, **kwargs):
+        raise ValidationError(f"training diverged: planted in process {os.getpid()}")
+
+    # The child inherits the patch through fork.
+    monkeypatch.setattr(cli, "train_ranker", diverge)
+    with _process_starts() as started:
+        assert dispatch(argv) == 1
+    [child] = started
+    assert child.pid != os.getpid() and child.exitcode == 0  # the child sent the exception
+    err = capsys.readouterr().err
+    assert err == f"error: training diverged: planted in process {child.pid}\n"
+    _assert_nothing_left(out)
+
+
+@pytest.mark.parametrize("failure", [ValidationError, KeyboardInterrupt])
+def test_eval_baseline_failure_terminates_the_child(tmp_path, capsys, monkeypatch, failure):
+    argv, out = _failing_eval(tmp_path)
+
+    def stall(*args, **kwargs):
+        time.sleep(60)  # the child's chain; the parent terminates it long before
+
+    def fail(*args, **kwargs):
+        raise failure("planted baseline failure")
+
+    monkeypatch.setattr(cli, "train_ranker", stall)
+    monkeypatch.setattr(cli, "train_baseline", fail)
+    begin = time.monotonic()
+    with _process_starts() as started:
+        if failure is KeyboardInterrupt:
+            with pytest.raises(KeyboardInterrupt):
+                dispatch(argv)
+        else:
+            assert dispatch(argv) == 1
+            assert capsys.readouterr().err == "error: planted baseline failure\n"
+    assert time.monotonic() - begin < 30
+    [child] = started
+    assert child.exitcode == -signal.SIGTERM
+    _assert_nothing_left(out)
+
+
+def test_eval_child_that_dies_without_sending_exits_one(tmp_path, capsys, monkeypatch):
+    argv, out = _failing_eval(tmp_path)
+    parent = os.getpid()
+
+    def die(*args, **kwargs):
+        assert os.getpid() != parent, "stage 1 trained in the parent process"
+        os._exit(3)
+
+    monkeypatch.setattr(cli, "train_ranker", die)
+    assert dispatch(argv) == 1
+    err = capsys.readouterr().err
+    assert err == "error: the stage-1 training process exited with code 3 before sending its result\n"
+    _assert_nothing_left(out)
 
 
 def test_eval_rejects_empty_test_split(tmp_path, capsys):

@@ -146,6 +146,14 @@ def test_load_malformed_line_cites_line_number(tmp_path):
         load_corpus(path)
 
 
+def test_load_deeply_nested_line_cites_its_line_number(tmp_path):
+    # json.loads raises RecursionError, which is not a ValueError, for this line.
+    path = tmp_path / "deep.jsonl"
+    path.write_text(json.dumps(_record("ok")) + "\n" + "[" * 200_000 + "\n", encoding="utf-8")
+    with pytest.raises(CorpusFormatError, match=r"deep\.jsonl:2: invalid JSON: .*recursion"):
+        load_corpus(path)
+
+
 def test_load_non_utf8_line_cites_its_line_number(tmp_path):
     path = tmp_path / "bad.jsonl"
     # Line 1 ends in CRLF and loads; line 2 holds a byte that is not UTF-8.

@@ -137,3 +137,41 @@ def test_only_fileio_touches_the_file_system():
     ]
     assert [site for site in found if site[:2] not in _ALLOWED] == []
     assert {site[:2] for site in found} == _ALLOWED  # the scan sees the one call it allows
+
+
+# Modules that start processes: cli alone, as the one place that owns a run.
+_PROCESS_MODULES = ("multiprocessing", "concurrent.futures", "os.fork")
+
+
+def _process_names(tree: ast.AST):
+    """Each imported module or name, and each os attribute, under tree that starts processes."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            names = [node.module, *(f"{node.module}.{alias.name}" for alias in node.names)]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "os":
+            names = [f"os.{node.attr}"]
+        else:
+            continue
+        yield from (name for name in names if name.startswith(_PROCESS_MODULES))
+
+
+def test_only_cli_starts_processes():
+    package = Path(uttrank.__file__).resolve().parent
+    found = {
+        module.name
+        for module in sorted(package.glob("*.py"))
+        if any(_process_names(ast.parse(module.read_text(encoding="utf-8"))))
+    }
+    assert found == {"cli.py"}  # the scan sees the import it allows
+
+
+@pytest.mark.parametrize(
+    "source",
+    ["import multiprocessing", "from multiprocessing import Process", "import concurrent.futures",
+     "from concurrent import futures", "from concurrent.futures import ProcessPoolExecutor",
+     "pid = os.fork()", "from os import fork"],
+)
+def test_process_scan_sees_each_spelling(source):
+    assert list(_process_names(ast.parse(source)))

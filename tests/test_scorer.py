@@ -585,6 +585,13 @@ def test_load_rejects_unreadable_file(tmp_path):
         load_model(garbled)
 
 
+def test_load_rejects_deeply_nested_checkpoint(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text("[" * 200_000, encoding="utf-8")
+    with pytest.raises(ValidationError, match=r"model\.json: unreadable checkpoint: RecursionError"):
+        load_model(path)
+
+
 def test_score_utterances_alignment(tiny_instance):
     model = init_model((FEATURE_DIM, 5, 1), seed=0)
     feats = instance_features(tiny_instance)
