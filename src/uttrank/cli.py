@@ -62,7 +62,13 @@ from .fileio import atomic_open, read_text, sha256, write_text
 from .pipeline import PipelineConfig, run_pipeline
 from .rouge import rouge_scores
 from .scorer import (
-    FEATURE_DIM, init_model, instance_features, load_model, save_model, score_utterances
+    FEATURE_DIM,
+    chunk_features,
+    init_model,
+    iter_chunks,
+    load_model,
+    save_model,
+    score_utterances,
 )
 from .synthesis import synth_corpus, synth_splits
 from .trainer import (
@@ -247,17 +253,17 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     models = [load_model(path) for path in checkpoints]
     out = Path(args.out_dir)
     with atomic_open(out / "extractions.jsonl") as fh:
-        for instance in corpus:
-            features = instance_features(instance)  # extraction needs no gold labels
-            scores = [score_utterances(model, features) for model in models]
-            result = run_pipeline(instance, scores[0], scores[-1], pipeline_config)
-            record = {
-                "instance_id": result.instance_id,
-                "selected_indices": list(result.selected_indices),
-                "selection_scores": list(result.selection_scores),
-                "generator_input": result.generator_input,
-            }
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+        for instances, stats in iter_chunks(corpus):  # extraction needs no gold labels
+            for instance, features in zip(instances, chunk_features(stats)):
+                scores = [score_utterances(model, features) for model in models]
+                result = run_pipeline(instance, scores[0], scores[-1], pipeline_config)
+                record = {
+                    "instance_id": result.instance_id,
+                    "selected_indices": list(result.selected_indices),
+                    "selection_scores": list(result.selection_scores),
+                    "generator_input": result.generator_input,
+                }
+                fh.write(json.dumps(record, sort_keys=True) + "\n")
     _write_manifest(out, "extract", cfg, None, [args.corpus, *checkpoints])
     return 0
 

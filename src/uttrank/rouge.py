@@ -7,22 +7,27 @@ deterministic and dependency-free; documented here so results stay comparable
 across runs.
 
 Every score comes from exact integer counts. _ngram_counts is the one n-gram
-kernel: it counts the n-grams of many candidate rows of integer token ids
-against one reference in a single count matrix, and ROUGE-N is the clipped
-overlap of that matrix with the reference's counts. ROUGE-L takes one
-bit-parallel LCS per candidate, on match masks of the reference built once
-per call. token_rouge_scores maps the candidates' tokens to ids against the
-reference and scores them all at once; rouge_l, rouge_scores and the
-relevance labels call it, rouge_n (any n) calls the kernel for one pair, and
-scorer builds its overlap features on the kernel.
+kernel: it takes TokenGroups, candidate rows of integer token ids in groups
+that each have their own reference, and counts every row's n-grams against
+its own reference in one pass, as the non-zero cells of a sparse count
+matrix; ROUGE-N is the clipped overlap of those cells with the reference's
+counts. ROUGE-L takes one bit-parallel LCS per row, on match masks built
+once per reference. group_relevances labels every row of the groups at
+once; trainer.prepare_corpus calls it on a chunk of instances, one group per
+instance. The one-reference calls are the one-group case: _encode maps the
+candidates' tokens to ids against the reference, and token_rouge_scores,
+rouge_scores, rouge_l, token_relevances and gold_relevance score that one
+group, rouge_n (any n) calls the kernel for one pair. scorer builds its
+overlap features on the kernel, with each query as a group's reference.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import chain, repeat
-from typing import Iterable
+from functools import cached_property
+from itertools import chain, islice, repeat
+from typing import Hashable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -37,6 +42,8 @@ __all__ = [
     "rouge_l",
     "token_rouge_scores",
     "rouge_scores",
+    "TokenGroups",
+    "group_relevances",
     "token_relevances",
     "gold_relevance",
 ]
@@ -72,32 +79,96 @@ def _lookup(vocab: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return np.where(np.append(vocab, -1)[pos] == keys, pos, len(vocab))
 
 
-def _ngram_counts(
-    ids: np.ndarray, lengths: np.ndarray, reference: np.ndarray, n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Count matrix of the candidates' n-grams over the reference's distinct n-grams.
+@dataclass(frozen=True)
+class TokenGroups:
+    """Candidate rows in groups, each group scored against its own reference, as integer token ids.
 
-    ids holds the candidate rows of non-negative token ids back to back and
-    lengths their sizes; reference shares the id space. Returns the
-    (rows, K) matrix counting, per row, each of the reference's K distinct
-    n-grams, and the reference's own K counts; n-grams the reference lacks
-    are not counted. An n-gram is coded as its (n-1)-gram's code times the
-    unigram width plus its last token's code, then compacted to its rank
-    among the reference's codes, so keys stay below (len(reference) + 1)**2
-    for every n.
+    ids holds the rows back to back and lengths their token counts;
+    group_rows counts the rows of each group, in row order, and reference
+    and ref_lengths hold the groups' references back to back. Ids are
+    non-negative and no id occurs in two groups, so a row's n-grams can
+    only match its own group's reference.
     """
-    vocab, ref_code = np.unique(reference, return_inverse=True)
-    code = _lookup(vocab, ids)
-    unigram, ref_unigram, width = code, ref_code, len(vocab) + 1
+
+    ids: np.ndarray
+    lengths: np.ndarray
+    group_rows: np.ndarray
+    reference: np.ndarray
+    ref_lengths: np.ndarray
+
+    @cached_property
+    def row_of(self) -> np.ndarray:
+        """The row of each token."""
+        return np.repeat(np.arange(len(self.lengths)), self.lengths)
+
+    def row_ref_lengths(self) -> np.ndarray:
+        """The token count of each row's reference."""
+        return np.repeat(self.ref_lengths, self.group_rows)
+
+
+class _Cells(NamedTuple):
+    """The non-zero cells of a count matrix of rows over reference n-grams.
+
+    Columns number the distinct n-grams of every reference, reference by
+    reference, each reference's in the order they first occur there.
+    Cells are sorted by row, then column.
+    """
+
+    row: np.ndarray
+    column: np.ndarray
+    count: np.ndarray
+    ref_counts: np.ndarray  # each column's count in its reference
+    ref_first: np.ndarray  # where each column's n-gram first starts in the reference
+
+
+def _ngram_counts(groups: TokenGroups, n: int) -> _Cells:
+    """Count matrix of every row's n-grams over its group's reference n-grams.
+
+    A token's code is its rank among the references' distinct ids, read
+    from a table indexed by id, so ids should be compact. An n-gram is
+    coded as its (n-1)-gram's code times the unigram width plus its last
+    token's code, then compacted to its rank among the references' codes,
+    so keys stay below (len(reference) + 1)**2 for every n. Only n-grams
+    whose every prefix the references hold are coded. An n-gram counts
+    when it ends inside its own row, or its own reference, and that
+    reference holds it.
+    """
+    distinct, ref_code = np.unique(groups.reference, return_inverse=True)
+    size = len(distinct)  # codes in use; a token the references lack gets code size
+    table = np.full(max(int(groups.ids.max(initial=0)), int(distinct.max(initial=0))) + 1, size)
+    table[distinct] = np.arange(size)
+    unigram, ref_unigram, width = table[groups.ids], ref_code, size + 1
+    starts = np.flatnonzero(unigram < size)
+    code = unigram[starts]
     for j in range(1, n):
+        # Extend each held (j)-gram by the token j places after its start.
+        last = unigram[np.minimum(starts + j, len(unigram) - 1)]
+        held = (starts + j < len(unigram)) & (last < width - 1)
         vocab, ref_code = np.unique(ref_code[:-1] * width + ref_unigram[j:], return_inverse=True)
-        code = _lookup(vocab, code[:-1] * width + unigram[j:])
-    rows, k = len(lengths), len(vocab)
-    row_of = np.repeat(np.arange(rows), lengths)[: len(code)]
-    # An n-gram counts when it ends inside its own row and the reference holds it.
-    keep = (np.arange(len(code)) + n <= np.cumsum(lengths)[row_of]) & (code < k)
-    counts = np.bincount(row_of[keep] * k + code[keep], minlength=rows * k)
-    return counts.reshape(rows, k), np.bincount(ref_code, minlength=k)
+        size = len(vocab)
+        starts, code = starts[held], _lookup(vocab, code[held] * width + last[held])
+        starts, code = starts[code < size], code[code < size]
+    ref_starts = np.flatnonzero(_inside(groups.ref_lengths, np.arange(len(ref_code)), n))
+    ranks, first, ref_counts = np.unique(ref_code[ref_starts], return_index=True, return_counts=True)
+    order = np.argsort(first)
+    k = len(ranks)
+    column = np.full(size, k)  # code -> column; k where no n-gram inside a reference has it
+    column[ranks[order]] = np.arange(k)
+    code = column[code]
+    inside = _inside(groups.lengths, starts, n, groups.row_of) & (code < k)
+    bits = k.bit_length()
+    cells, counts = np.unique((groups.row_of[starts[inside]] << bits) | code[inside], return_counts=True)
+    return _Cells(cells >> bits, cells & ((1 << bits) - 1), counts, ref_counts[order], ref_starts[first[order]])
+
+
+def _inside(lengths: np.ndarray, starts: np.ndarray, n: int, segment_of: np.ndarray | None = None):
+    """Whether the n-gram at each start ends inside its segment, of segments laid back to back.
+
+    segment_of, when given, must be np.repeat(np.arange(len(lengths)), lengths).
+    """
+    if segment_of is None:
+        segment_of = np.repeat(np.arange(len(lengths)), lengths)
+    return starts + n <= np.cumsum(lengths)[segment_of[starts]]
 
 
 def _ratio(numerator: np.ndarray, denominator) -> np.ndarray:
@@ -106,7 +177,7 @@ def _ratio(numerator: np.ndarray, denominator) -> np.ndarray:
     return np.divide(numerator, denominator, out=out, where=np.asarray(denominator) > 0)
 
 
-def _prf(overlap: np.ndarray, cand_total: np.ndarray, ref_total: int):
+def _prf(overlap: np.ndarray, cand_total: np.ndarray, ref_total: np.ndarray):
     """Precision, recall and F1 arrays; zero denominators yield zero scores.
 
     Each element takes the float operations of a single score, in the same
@@ -118,21 +189,22 @@ def _prf(overlap: np.ndarray, cand_total: np.ndarray, ref_total: int):
     return precision, recall, _ratio(2.0 * precision * recall, precision + recall)
 
 
-def _ngram_prf(
-    counts: np.ndarray, ref_counts: np.ndarray, lengths: np.ndarray, ref_length: int, n: int
-):
-    """ROUGE-N precision, recall and F1 arrays from an _ngram_counts matrix and the token counts."""
-    overlap = np.minimum(counts, ref_counts).sum(axis=1)
-    return _prf(overlap, np.maximum(lengths - (n - 1), 0), max(ref_length - (n - 1), 0))
+def _ngram_prf(cells: _Cells, groups: TokenGroups, n: int):
+    """ROUGE-N precision, recall and F1 arrays of every row from its _ngram_counts cells.
+
+    A row's clipped overlap adds integer counts as float64, exact below 2**53.
+    """
+    clipped = np.minimum(cells.count, cells.ref_counts[cells.column])
+    overlap = np.bincount(cells.row, weights=clipped, minlength=len(groups.lengths))
+    return _prf(
+        overlap,
+        np.maximum(groups.lengths - (n - 1), 0),
+        np.maximum(groups.row_ref_lengths() - (n - 1), 0),
+    )
 
 
-def _rouge_n_prf(ids: np.ndarray, lengths: np.ndarray, reference: np.ndarray, n: int):
-    """ROUGE-N precision, recall and F1 arrays of each candidate row against the reference."""
-    return _ngram_prf(*_ngram_counts(ids, lengths, reference, n), lengths, len(reference), n)
-
-
-def _encode(candidates: list[TokenSequence], reference: TokenSequence):
-    """Token ids of the candidates (back to back, with lengths) and of the reference.
+def _encode(candidates: list[TokenSequence], reference: TokenSequence) -> TokenGroups:
+    """The candidates as one group of rows against the reference.
 
     Ids number the reference's distinct tokens; every other token gets one
     id the reference does not hold.
@@ -145,7 +217,7 @@ def _encode(candidates: list[TokenSequence], reference: TokenSequence):
         count=int(lengths.sum()),
     )
     ref_ids = np.fromiter(map(vocab.__getitem__, reference), dtype=np.int64, count=len(reference))
-    return ids, lengths, ref_ids
+    return TokenGroups(ids, lengths, np.array([len(candidates)]), ref_ids, np.array([len(reference)]))
 
 
 def _scores(prf) -> list[RougeScore]:
@@ -156,12 +228,13 @@ def rouge_n(candidate: str, reference: str, n: int) -> RougeScore:
     """Clipped n-gram overlap; zero denominators yield zero scores."""
     if n < 1:
         raise ValidationError(f"n-gram order must be >= 1, got {n}")
-    return _scores(_rouge_n_prf(*_encode([tokenize(candidate)], tokenize(reference)), n))[0]
+    groups = _encode([tokenize(candidate)], tokenize(reference))
+    return _scores(_ngram_prf(_ngram_counts(groups, n), groups, n))[0]
 
 
-def _match_masks(b: TokenSequence) -> dict[str, int]:
+def _match_masks(b: Sequence[Hashable]) -> dict[Hashable, int]:
     """Bit j of a token's mask is set where b[j] is that token."""
-    masks: dict[str, int] = {}
+    masks: dict[Hashable, int] = {}
     bit = 1
     for token in b:
         masks[token] = masks.get(token, 0) | bit
@@ -169,11 +242,14 @@ def _match_masks(b: TokenSequence) -> dict[str, int]:
     return masks
 
 
-def lcs_length(a: TokenSequence, b: TokenSequence, b_masks: dict[str, int] | None = None) -> int:
+def lcs_length(
+    a: Sequence[Hashable], b: Sequence[Hashable], b_masks: dict[Hashable, int] | None = None
+) -> int:
     """Longest common subsequence length, bit-parallel (Allison & Dix 1986; Hyyrö 2004).
 
-    b is the masked side: bit j of a token's match mask is set where b holds
-    that token, and b_masks, when given, must be those masks (built once per
+    a and b hold tokens, or integer token ids of one numbering. b is the
+    masked side: bit j of a token's match mask is set where b holds that
+    token, and b_masks, when given, must be those masks (built once per
     reference and shared by every candidate). Bit j of the state v is zero
     exactly where row i of the classic DP table steps up by one at column j,
     so after the last token of a the zero bits count the LCS. Each token of a
@@ -196,20 +272,28 @@ def rouge_l(candidate: str, reference: str) -> RougeScore:
     return rouge_scores([candidate], reference)[0][2]
 
 
-def _rouge_prf(candidates: Iterable[TokenSequence], reference: TokenSequence):
-    """ROUGE-1, ROUGE-2 and ROUGE-L (precision, recall, F1) arrays of the candidates."""
-    candidates = list(candidates)
-    ids, lengths, ref_ids = _encode(candidates, reference)
-    masks = _match_masks(reference)
-    lcs = np.fromiter(
-        (lcs_length(cand, reference, masks) for cand in candidates),
-        dtype=np.int64,
-        count=len(candidates),
-    )
+def _slices(values: np.ndarray, lengths: np.ndarray) -> Iterator[list]:
+    """Consecutive slices of values with the given lengths, each as a list."""
+    ends = np.cumsum(lengths).tolist()
+    return (values[start:end].tolist() for start, end in zip([0] + ends, ends))
+
+
+def _lcs_lengths(groups: TokenGroups) -> np.ndarray:
+    """LCS length of each row against its group's reference, masks built once per reference."""
+    rows = _slices(groups.ids, groups.lengths)
+    lcs = []
+    for reference, n_rows in zip(_slices(groups.reference, groups.ref_lengths), groups.group_rows.tolist()):
+        masks = _match_masks(reference)
+        lcs.extend(lcs_length(row, reference, masks) for row in islice(rows, n_rows))
+    return np.array(lcs, dtype=np.int64)
+
+
+def _rouge_prf(groups: TokenGroups):
+    """ROUGE-1, ROUGE-2 and ROUGE-L (precision, recall, F1) arrays of every row."""
     return (
-        _rouge_n_prf(ids, lengths, ref_ids, 1),
-        _rouge_n_prf(ids, lengths, ref_ids, 2),
-        _prf(lcs, lengths, len(reference)),
+        _ngram_prf(_ngram_counts(groups, 1), groups, 1),
+        _ngram_prf(_ngram_counts(groups, 2), groups, 2),
+        _prf(_lcs_lengths(groups), groups.lengths, groups.row_ref_lengths()),
     )
 
 
@@ -217,7 +301,7 @@ def token_rouge_scores(
     candidates: Iterable[TokenSequence], reference: TokenSequence
 ) -> list[tuple[RougeScore, RougeScore, RougeScore]]:
     """(ROUGE-1, ROUGE-2, ROUGE-L) of each candidate token list against one reference."""
-    return list(zip(*map(_scores, _rouge_prf(candidates, reference))))
+    return list(zip(*map(_scores, _rouge_prf(_encode(list(candidates), reference)))))
 
 
 def rouge_scores(candidates, reference: str) -> list[tuple[RougeScore, RougeScore, RougeScore]]:
@@ -225,14 +309,19 @@ def rouge_scores(candidates, reference: str) -> list[tuple[RougeScore, RougeScor
     return token_rouge_scores((tokenize(text) for text in candidates), tokenize(reference))
 
 
-def token_relevances(candidates: Iterable[TokenSequence], gold_summary: TokenSequence) -> list[float]:
-    """Relevance label of each utterance token list: mean of its ROUGE-1, ROUGE-2 and ROUGE-L F1.
+def group_relevances(groups: TokenGroups) -> np.ndarray:
+    """Relevance label of every row: mean of its ROUGE-1, ROUGE-2 and ROUGE-L F1 against its reference.
 
     The mean of the three reported metrics is the least arbitrary composite
     and matches how extractors are scored on all three downstream.
     """
-    (_, _, f1), (_, _, f2), (_, _, fl) = _rouge_prf(candidates, gold_summary)
-    return ((f1 + f2 + fl) / 3.0).tolist()
+    (_, _, f1), (_, _, f2), (_, _, fl) = _rouge_prf(groups)
+    return (f1 + f2 + fl) / 3.0
+
+
+def token_relevances(candidates: Iterable[TokenSequence], gold_summary: TokenSequence) -> list[float]:
+    """Relevance label of each utterance token list; the one-group call of group_relevances."""
+    return group_relevances(_encode(list(candidates), gold_summary)).tolist()
 
 
 def gold_relevance(utterance: str, gold_summary: str) -> float:

@@ -1,11 +1,16 @@
 """Differentiable query-relevance scoring.
 
-InstanceStats.from_instance tokenizes an instance's texts once and maps the
-tokens to integer ids. instance_features computes every column for all rows at
-once from the ROUGE kernel's count matrix against the query; featurize is the
-one-row call of the same function. Each tf-idf sum goes through np.bincount,
-which adds a row's terms in input order starting from 0.0, and squares are the
-product w * w, so each value equals a per-row loop over Counters bit for bit.
+iter_chunks walks a corpus a chunk of instances at a time, each chunk about
+CHUNK_TOKENS utterance tokens, so the arrays of one pass stay small. It
+tokenizes each instance's texts once and numbers each instance's distinct
+tokens apart from every other instance's, then lays the chunk's instances
+back to back in one InstanceStats. chunk_features computes every column for
+all rows of the chunk at once from the ROUGE kernel's counts against each
+row's query. InstanceStats.from_instance and instance_features are the
+one-instance case of the same pass, and featurize its one-row case. Each
+tf-idf sum goes through np.bincount, which adds a row's terms in input order
+starting from 0.0, and squares are the product w * w, so each value equals a
+per-row loop over Counters bit for bit, whatever the chunk.
 
 A small feed-forward model over hand-built (query, utterance) features stands
 in for a pretrained cross-encoder: the ranking losses are agnostic to the
@@ -30,14 +35,14 @@ import math
 from dataclasses import dataclass, replace
 from itertools import chain
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from .corpus import QueryInstance, Utterance
 from .errors import ValidationError
 from .fileio import read_text, write_text
-from .rouge import _ngram_counts, _ngram_prf, _ratio, tokenize
+from .rouge import TokenGroups, _ngram_counts, _ngram_prf, _ratio, tokenize
 
 FEATURE_NAMES = (
     "query_unigram_f1",
@@ -67,9 +72,12 @@ STOPWORDS = frozenset(
 __all__ = [
     "FEATURE_NAMES",
     "FEATURE_DIM",
+    "CHUNK_TOKENS",
     "InstanceStats",
+    "iter_chunks",
     "featurize",
     "instance_features",
+    "chunk_features",
     "ScoringModel",
     "ParameterGradient",
     "init_model",
@@ -85,21 +93,53 @@ __all__ = [
 ]
 
 
+# Utterance tokens per chunk of instances prepared in one pass: a chunk closes
+# at the instance that brings it to this many, so the arrays of one pass stay
+# small whatever the corpus size.
+CHUNK_TOKENS = 8192
+
+
 def _idf(n_utterances: int, doc_freq: int) -> float:
     return math.log((1 + n_utterances) / (1 + doc_freq)) + 1.0
 
 
-def _token_ids(vocab: dict[str, int], tokens: Iterable[str], count: int) -> np.ndarray:
-    return np.fromiter(map(vocab.__getitem__, tokens), dtype=np.int64, count=count)
+def _idf_by_id(utterance_counts: np.ndarray, id_instance: np.ndarray, doc_freq: np.ndarray) -> np.ndarray:
+    """The idf of each id, from its document frequency within its instance; one table per utterance count."""
+    counts, table_of = np.unique(utterance_counts, return_inverse=True)
+    tables = [[_idf(n, d) for d in range(n + 1)] for n in counts.tolist()]
+    starts = np.cumsum([0] + [len(t) for t in tables[:-1]])
+    return np.array(list(chain.from_iterable(tables)))[starts[table_of][id_instance] + doc_freq]
 
 
 def _row_terms(ids: np.ndarray, lengths: np.ndarray, width: int):
-    """Each row's distinct ids and their counts: rows in order, ids in first-occurrence order."""
+    """Each row's distinct ids and their counts: rows in order, ids in first-occurrence order.
+
+    One sort of (row, id, position) keys groups each row's occurrences of
+    an id, the first one leading; ids are below width. It needs no argsort,
+    so on a chunk it takes less peak memory than np.unique's return_index.
+    """
+    n = len(ids)
+    shift = n.bit_length()
+    if (len(lengths) * width) << shift >= 1 << 63:
+        raise ValidationError(f"{n} tokens in {len(lengths)} utterances are too many to count at once")
     row_of = np.repeat(np.arange(len(lengths)), lengths)
-    keys, first, counts = np.unique(row_of * width + ids, return_index=True, return_counts=True)
-    order = np.argsort(first)
-    keys = keys[order]
-    return keys // width, keys % width, counts[order]
+    keys = row_of * width
+    keys += ids
+    keys <<= shift
+    keys |= np.arange(n)
+    keys.sort()
+    term = keys >> shift
+    leads = np.ones(n, dtype=bool)  # where a new (row, id) term starts
+    np.not_equal(term[1:], term[:-1], out=leads[1:])
+    starts = np.flatnonzero(leads)
+    del term
+    # Each distinct term's count, placed at its first position; reading the
+    # positions in order puts the terms in first-occurrence order.
+    count_at = np.zeros(n, dtype=np.int64)
+    count_at[keys[starts] & ((1 << shift) - 1)] = np.diff(starts, append=n)
+    del keys
+    first = np.flatnonzero(count_at)
+    return row_of[first], ids[first], count_at[first]
 
 
 def _norms(rows: np.ndarray, weights: np.ndarray, n_rows: int) -> np.ndarray:
@@ -107,129 +147,234 @@ def _norms(rows: np.ndarray, weights: np.ndarray, n_rows: int) -> np.ndarray:
     return np.sqrt(np.bincount(rows, weights=weights * weights, minlength=n_rows))
 
 
+class _Numbered(NamedTuple):
+    """One instance's tokens as integer ids, and what its rows read of its strings."""
+
+    n_ids: int  # distinct tokens; ids are 0..n_ids-1
+    utterances: np.ndarray  # the utterances' token ids back to back
+    lengths: np.ndarray
+    query: np.ndarray
+    gold: np.ndarray  # empty unless the gold summary was asked for
+    content: np.ndarray  # ids of the query's content words
+    indices: np.ndarray
+    speaker_hits: list[float]
+
+
+def _numbered(
+    query: str, utterances: tuple[Utterance, ...], gold_summary: str | None
+) -> tuple[dict[str, int], _Numbered]:
+    """The vocab numbering one instance's distinct tokens in first-occurrence order, and its texts as ids.
+
+    Each text is tokenized once and each distinct speaker once. The query's
+    k distinct tokens hold ids 0..k-1 in query order. A gold_summary of
+    None is not read.
+    """
+    query_tokens = tokenize(query)
+    utterance_tokens = [tokenize(u.text) for u in utterances]
+    gold_tokens = [] if gold_summary is None else tokenize(gold_summary)
+    query_terms = dict.fromkeys(query_tokens)
+    tokens = list(chain(chain.from_iterable(utterance_tokens), query_tokens, gold_tokens))
+    vocab = {t: i for i, t in enumerate(dict.fromkeys(chain(query_terms, tokens)))}
+    ids = np.fromiter(map(vocab.__getitem__, tokens), dtype=np.int64, count=len(tokens))
+    lengths = np.fromiter(map(len, utterance_tokens), dtype=np.int64, count=len(utterances))
+    n_utterance_tokens, n_query = int(lengths.sum()), len(query_tokens)
+    # A query of stopwords only falls back to all of its tokens.
+    content = [i for i, t in enumerate(query_terms) if t not in STOPWORDS]
+    content = content or list(range(len(query_terms)))
+    hits = {
+        s: any(t in query_terms for t in tokenize(s)) for s in dict.fromkeys(u.speaker for u in utterances)
+    }
+    return vocab, _Numbered(
+        n_ids=len(vocab),
+        utterances=ids[:n_utterance_tokens],
+        lengths=lengths,
+        query=ids[n_utterance_tokens : n_utterance_tokens + n_query],
+        gold=ids[n_utterance_tokens + n_query :],
+        content=np.array(content, dtype=np.int64),
+        indices=np.fromiter((u.index for u in utterances), dtype=np.int64, count=len(utterances)),
+        speaker_hits=[1.0 if hits[u.speaker] else 0.0 for u in utterances],
+    )
+
+
 @dataclass(frozen=True)
 class InstanceStats:
-    """An instance's texts, each tokenized once, as integer token ids, and what its rows read.
+    """Instances laid back to back as integer token ids, and what their rows read.
 
-    Ids number the distinct tokens of the query, then of the utterances, in
-    first-occurrence order, so the query's k distinct tokens hold ids 0..k-1
-    in query order. utterance_ids holds the utterances' ids back to back and
-    lengths their token counts; row_terms lists each utterance's distinct ids
-    in first-occurrence order as (row, id, count) arrays. idf_by_id is each
-    id's smoothed idf. Built per use: prepared instances keep only the
-    feature matrix.
+    Ids number the chunk's distinct (instance, token) pairs, so no id occurs
+    in two instances. queried holds the utterance rows, instance by
+    instance, each instance's rows a group against its query; gold holds
+    the same rows against each gold summary when it was asked for.
+    row_terms lists each row's distinct ids in first-occurrence order as
+    (row, id, count) arrays. idf_by_id is each id's smoothed idf within its
+    instance, content_by_id whether it counts as a query content word, and
+    utterance_counts each instance's utterance count for the position
+    feature. vocab maps the tokens of a one-instance stats to their ids;
+    a chunk's stats drops its token strings once they are numbered. Built
+    per use: prepared instances keep only the feature matrix.
     """
 
-    n_utterances: int
-    vocab: dict[str, int]
+    vocab: dict[str, int] | None
     idf_by_id: np.ndarray
-    query_ids: np.ndarray
-    content_ids: np.ndarray
-    utterance_tokens: tuple[list[str], ...]
-    utterance_ids: np.ndarray
-    lengths: np.ndarray
+    content_by_id: np.ndarray
+    queried: TokenGroups
+    gold: TokenGroups | None
     row_terms: tuple[np.ndarray, np.ndarray, np.ndarray]
     indices: np.ndarray
     speaker_hits: np.ndarray
+    utterance_counts: np.ndarray
 
     @staticmethod
     def from_instance(instance: QueryInstance) -> "InstanceStats":
-        utterance_tokens = tuple(tokenize(u.text) for u in instance.utterances)
-        return _build_stats(tokenize(instance.query), instance.utterances, utterance_tokens)
+        """The one-instance stats: featurize and instance_features read it."""
+        vocab, part = _numbered(instance.query, instance.utterances, None)
+        return _build_stats([part], False, vocab)
+
+    @property
+    def n_utterances(self) -> int:
+        """The utterance count of a one-instance stats."""
+        (n,) = self.utterance_counts.tolist()
+        return n
 
     def idf(self, token: str) -> float:
-        """Smoothed idf; a token no utterance holds has document frequency 0."""
+        """Smoothed idf in a one-instance stats; a token no utterance holds has document frequency 0."""
         if token in self.vocab:
             return float(self.idf_by_id[self.vocab[token]])
         return _idf(self.n_utterances, 0)
 
+    def per_instance(self, rows: np.ndarray) -> list[np.ndarray]:
+        """Each instance's slice of an array with one entry per row, as its own array."""
+        ends = np.cumsum(self.queried.group_rows)[:-1]
+        return [part.copy() for part in np.split(rows, ends)]
+
 
 def _build_stats(
-    query_tokens: list[str],
-    utterances: tuple[Utterance, ...],
-    utterance_tokens: tuple[list[str], ...],
+    parts: list[_Numbered], with_gold: bool, vocab: dict[str, int] | None = None
 ) -> InstanceStats:
-    """InstanceStats of tokenized utterances, idf from their own document frequencies."""
-    query_terms = dict.fromkeys(query_tokens)
-    vocab = {t: i for i, t in enumerate(dict.fromkeys(chain(query_terms, *utterance_tokens)))}
-    lengths = np.fromiter(map(len, utterance_tokens), dtype=np.int64, count=len(utterance_tokens))
-    ids = _token_ids(vocab, chain.from_iterable(utterance_tokens), int(lengths.sum()))
-    row_terms = _row_terms(ids, lengths, len(vocab))
-    n_utterances = len(utterance_tokens)
-    table = np.array([_idf(n_utterances, d) for d in range(n_utterances + 1)])
-    # A query of stopwords only falls back to all of its tokens.
-    content = [i for i, t in enumerate(query_terms) if t not in STOPWORDS]
-    content = content or list(range(len(query_terms)))
-    # Each distinct speaker is tokenized once.
-    speakers = dict.fromkeys(u.speaker for u in utterances)
-    hits = {s: any(t in query_terms for t in tokenize(s)) for s in speakers}
-    query_ids = _token_ids(vocab, query_tokens, len(query_tokens))
+    """InstanceStats of numbered instances, idf from each instance's own document frequencies.
+
+    Each instance's ids are shifted past the ids of the instances before it.
+    vocab is the one instance's, or None.
+    """
+    n_instances = len(parts)
+    vocab_sizes = np.fromiter((p.n_ids for p in parts), dtype=np.int64, count=n_instances)
+    offsets = np.cumsum(vocab_sizes) - vocab_sizes
+
+    def shifted(field: str) -> tuple[np.ndarray, np.ndarray]:
+        arrays = [getattr(p, field) for p in parts]
+        sizes = np.fromiter(map(len, arrays), dtype=np.int64, count=n_instances)
+        return np.concatenate(arrays) + np.repeat(offsets, sizes), sizes
+
+    utterance_ids, _ = shifted("utterances")
+    query_ids, query_lengths = shifted("query")
+    gold_ids, gold_lengths = shifted("gold")
+    n_ids = int(vocab_sizes.sum())
+    lengths = np.concatenate([p.lengths for p in parts])
+    group_rows = np.fromiter((len(p.lengths) for p in parts), dtype=np.int64, count=n_instances)
+    row_terms = _row_terms(utterance_ids, lengths, n_ids)
+    doc_freq = np.bincount(row_terms[1], minlength=n_ids)
+    content_by_id = np.zeros(n_ids, dtype=bool)
+    content_by_id[shifted("content")[0]] = True
+    queried = TokenGroups(utterance_ids, lengths, group_rows, query_ids, query_lengths)
+    gold = replace(queried, reference=gold_ids, ref_lengths=gold_lengths) if with_gold else None
     return InstanceStats(
-        n_utterances=n_utterances,
         vocab=vocab,
-        idf_by_id=table[np.bincount(row_terms[1], minlength=len(vocab))],
-        query_ids=query_ids,
-        content_ids=np.array(content, dtype=np.int64),
-        utterance_tokens=utterance_tokens,
-        utterance_ids=ids,
-        lengths=lengths,
+        idf_by_id=_idf_by_id(group_rows, np.repeat(np.arange(n_instances), vocab_sizes), doc_freq),
+        content_by_id=content_by_id,
+        queried=queried,
+        gold=gold,
         row_terms=row_terms,
-        indices=np.fromiter((u.index for u in utterances), dtype=np.int64, count=len(utterances)),
-        speaker_hits=np.array([1.0 if hits[u.speaker] else 0.0 for u in utterances]),
+        indices=np.concatenate([p.indices for p in parts]),
+        speaker_hits=np.array(list(chain.from_iterable(p.speaker_hits for p in parts))),
+        utterance_counts=group_rows,
     )
 
 
+def iter_chunks(
+    instances: Iterable[QueryInstance], with_gold: bool = False
+) -> Iterator[tuple[list[QueryInstance], InstanceStats]]:
+    """Consecutive runs of instances, each with its InstanceStats, of about CHUNK_TOKENS utterance tokens.
+
+    with_gold also numbers each gold summary, for the relevance labels.
+    """
+    chunk, parts, n_tokens = [], [], 0
+    for instance in instances:
+        gold = instance.gold_summary if with_gold else None
+        parts.append(_numbered(instance.query, instance.utterances, gold)[1])
+        chunk.append(instance)
+        n_tokens += len(parts[-1].utterances)
+        if n_tokens >= CHUNK_TOKENS:
+            yield chunk, _build_stats(parts, with_gold)
+            chunk, parts, n_tokens = [], [], 0
+    if chunk:
+        yield chunk, _build_stats(parts, with_gold)
+
+
 def _features(stats: InstanceStats) -> np.ndarray:
-    """The (rows, FEATURE_DIM) feature matrix of stats' utterances; see featurize."""
-    ids, lengths, query = stats.utterance_ids, stats.lengths, stats.query_ids
-    # counts[i, j]: occurrences of query term j (id j) in utterance i.
-    counts, query_counts = _ngram_counts(ids, lengths, query, 1)
-    n, k = counts.shape
-    idf = stats.idf_by_id
+    """The (rows, FEATURE_DIM) feature matrix of every row of stats; see featurize."""
+    groups = stats.queried
+    lengths, n_rows, n_instances = groups.lengths, len(groups.lengths), len(groups.group_rows)
+    instance_of_row = np.repeat(np.arange(n_instances), groups.group_rows)
+    # Columns are each query's distinct tokens in query order, query by query.
+    unigrams = _ngram_counts(groups, 1)
+    row, column = unigrams.row, unigrams.column
+    column_ids = groups.reference[unigrams.ref_first]
+    instance_of_column = np.repeat(np.arange(n_instances), groups.ref_lengths)[unigrams.ref_first]
+    idf = stats.idf_by_id[column_ids]
     # tf-idf cosine (Salton & Buckley 1988): the dot and the query norm walk
-    # the query in token order, each utterance norm its own tokens.
-    query_weights = query_counts * idf[:k]
-    terms = query_weights * (counts * idf[:k])
-    dot = np.bincount(np.repeat(np.arange(n), k), weights=terms.ravel(), minlength=n)
-    query_norm = _norms(np.zeros(k, dtype=np.int64), query_weights, 1)
+    # the query in token order, each utterance norm its own tokens; the dot
+    # leaves out its zero terms, which add nothing.
+    query_weights = unigrams.ref_counts * idf
+    terms = query_weights[column] * (unigrams.count * idf[column])
+    dot = np.bincount(row, weights=terms, minlength=n_rows)
+    query_norms = _norms(instance_of_column, query_weights, n_instances)
     rows, term_ids, term_counts = stats.row_terms
-    utterance_norms = _norms(rows, term_counts * idf[term_ids], n)
-    present = (counts[:, stats.content_ids] > 0).sum(axis=1)
+    utterance_norms = _norms(rows, term_counts * stats.idf_by_id[term_ids], n_rows)
+    content = stats.content_by_id[column_ids]
+    present = np.bincount(row, weights=content[column], minlength=n_rows)
+    n_content = np.bincount(instance_of_column, weights=content, minlength=n_instances)
     columns = [
-        _ngram_prf(counts, query_counts, lengths, len(query), 1)[2],
-        _ngram_prf(*_ngram_counts(ids, lengths, query, 2), lengths, len(query), 2)[2],
-        _ratio(dot, query_norm * utterance_norms),
+        _ngram_prf(unigrams, groups, 1)[2],
+        _ngram_prf(_ngram_counts(groups, 2), groups, 2)[2],
+        _ratio(dot, query_norms[instance_of_row] * utterance_norms),
         np.minimum(lengths / 100.0, 1.0),
-        _ratio(stats.indices, stats.n_utterances - 1),
-        _ratio(present, len(stats.content_ids)),
+        _ratio(stats.indices, (stats.utterance_counts - 1)[instance_of_row]),
+        _ratio(present, n_content[instance_of_row]),
         stats.speaker_hits,
     ]
     return np.stack(columns, axis=1)
 
 
 def featurize(query: str, utterance: Utterance, stats: InstanceStats) -> np.ndarray:
-    """Feature vector of one (query, utterance) pair against an instance's statistics.
+    """Feature vector of one (query, utterance) pair against a one-instance stats.
 
     Features, in order: unigram-overlap F1 vs the query, bigram-overlap F1,
     tf-idf cosine similarity, utterance token count / 100 capped at 1,
     relative transcript position, fraction of query content words present,
     and a speaker-mentioned-in-query indicator. Tokenizes only its own
     arguments and reads stats' idf and utterance count; it is the one-row
-    call of what instance_features computes for every row.
+    case of the feature pass over every row of a chunk.
     """
-    one = _build_stats(tokenize(query), (utterance,), (tokenize(utterance.text),))
+    vocab, part = _numbered(query, (utterance,), None)
+    one = _build_stats([part], False, vocab)
     idf_by_id = np.array([stats.idf(t) for t in one.vocab], dtype=np.float64)
-    return _features(replace(one, idf_by_id=idf_by_id, n_utterances=stats.n_utterances))[0]
+    counts = np.array([stats.n_utterances])
+    return _features(replace(one, idf_by_id=idf_by_id, utterance_counts=counts))[0]
 
 
 def instance_features(instance: QueryInstance, stats: InstanceStats | None = None) -> np.ndarray:
     """Feature matrix (n_utterances, FEATURE_DIM) of one instance, a featurize row per utterance.
 
-    The rows read the token ids in stats, built here when not given.
+    The one-instance case of chunk_features; stats, built here when not
+    given, must be this instance's.
     """
     if stats is None:
         stats = InstanceStats.from_instance(instance)
     return _features(stats)
+
+
+def chunk_features(stats: InstanceStats) -> list[np.ndarray]:
+    """The feature matrix of each instance in stats, all from one pass over their rows."""
+    return stats.per_instance(_features(stats))
 
 
 @dataclass

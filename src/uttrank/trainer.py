@@ -1,8 +1,10 @@
 """Training loops for the ranking objectives, plus the gradient checker.
 
-prepare_corpus tokenizes each instance once for its features and gold labels,
-both computed for all of an instance's utterances at once from integer count
-matrices; every train_* function takes the prepared instances first.
+prepare_corpus walks the corpus a chunk of instances at a time
+(scorer.CHUNK_TOKENS utterance tokens each) and tokenizes each instance once
+for its features and gold labels, both computed for every utterance of the
+chunk in one pass from integer counts; every train_* function takes the
+prepared instances first.
 
 All four objectives train through one loop. train_ranker (pairwise) and
 train_baseline (bce, mse) make one unit per partition_samples window;
@@ -37,19 +39,19 @@ from .ranklosses import (
     mse_simulator_loss,
     pairwise_margin_loss,
 )
-from .rouge import token_relevances, tokenize
+from .rouge import group_relevances
 from .scorer import (
     FEATURE_DIM,
-    InstanceStats,
     ParameterGradient,
     ScoringModel,
     apply_gradient,
     backward,
+    chunk_features,
     flat_gradient,
     flat_params,
     forward,
     init_model,
-    instance_features,
+    iter_chunks,
     num_params,
     score_utterances,
     set_flat_params,
@@ -126,14 +128,14 @@ class PreparedInstance:
 
 
 def prepare_corpus(corpus: Corpus) -> list[PreparedInstance]:
-    """Features and gold labels of every instance, both from the tokens of one InstanceStats."""
+    """Features and gold labels of every instance, a chunk of instances per pass.
+
+    Both come from the token ids of the chunk's one InstanceStats.
+    """
     prepared = []
-    for instance in corpus:
-        stats = InstanceStats.from_instance(instance)
-        features = instance_features(instance, stats)
-        gold = tokenize(instance.gold_summary)
-        relevance = np.array(token_relevances(stats.utterance_tokens, gold))
-        prepared.append(PreparedInstance(instance=instance, features=features, relevance=relevance))
+    for instances, stats in iter_chunks(corpus, with_gold=True):
+        relevance = stats.per_instance(group_relevances(stats.gold))
+        prepared.extend(map(PreparedInstance, instances, chunk_features(stats), relevance))
     return prepared
 
 

@@ -3,13 +3,15 @@
 import hashlib
 import logging
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from uttrank import scorer
 from uttrank.corpus import Corpus, QueryInstance, Utterance
 from uttrank.errors import ValidationError
 from uttrank.pipeline import PipelineConfig
@@ -36,6 +38,7 @@ from uttrank.trainer import (
     train_ranker,
     train_reranker,
 )
+from tests import counter_oracles
 from tests.conftest import make_instance
 
 
@@ -135,6 +138,136 @@ def test_prepared_data_digest_long_utterances():
         "02410930d8b08d419fefd3a1ff0ff5e1ab65f86a6b4f58ec0a941fdb096c2b0b",
         "f6877f37747b6e76b79bfd02c429a804e720fb68f9f29c6680f149066d5953fe",
     )
+
+
+# One train split shaped like each benchmark workload: (instances, synth_corpus keywords).
+_WORKLOAD_SHAPES = {
+    "qf40": (20, dict(n_utterances=40)),
+    "long160": (5, dict(n_utterances=160)),
+    "longtext": (10, dict(n_utterances=40, min_tokens=30, max_tokens=40, summary_words=80)),
+}
+
+
+@pytest.mark.parametrize(
+    "workload, digests",
+    [
+        (
+            "qf40",
+            (
+                "ad6f07f556524a1f3735065d55d342aaf74767f5160b8ddbd2932539e600d2f3",
+                "74eae1164c33436a05af20c6f9a6aa92822a2f745dc1052ee7b81249e0f1d883",
+            ),
+        ),
+        (
+            "long160",
+            (
+                "d1776963067b2d5f6a3e1a61f0da92feb238addc0442e5c8e4496a8ce0567ea5",
+                "560e880944be79a39c7be762b68ad647bd61462950bca06f777414b6f46bc15d",
+            ),
+        ),
+        (
+            "longtext",
+            (
+                "a940ccf0d02e7d3e4e292882de9a1b0881928571badffc72d2766ae68e999498",
+                "c734cb5d150b8f261da1232580e7547415d4779371b57977a83188b6baab8a27",
+            ),
+        ),
+    ],
+)
+def test_prepared_bytes_of_workload_shapes(workload, digests):
+    # Literals taken from the one-instance-at-a-time preparation that chunked
+    # preparation replaced; several chunks per split, so a bit that drifts
+    # with chunking fails here.
+    n_instances, shape = _WORKLOAD_SHAPES[workload]
+    corpus = synth_splits(n_instances, 0, 0, seed=28, **shape)["train"]
+    features, relevance = hashlib.sha256(), hashlib.sha256()
+    for prep in prepare_corpus(corpus):
+        features.update(prep.features.tobytes())
+        relevance.update(prep.relevance.tobytes())
+    assert (features.hexdigest(), relevance.hexdigest()) == digests
+
+
+# Instances draw from one small pool, so tokens recur across instances and an
+# idf or vocabulary leaking between instances of a chunk shows.
+_SHARED = ["tabby", "cat", "sat", "mat", "alice", "bob", "budget", "42"]
+_STOP = ["the", "what", "did", "and", "about"]
+_chunk_instances = st.lists(
+    st.tuples(
+        st.one_of(
+            st.lists(st.sampled_from(_STOP), min_size=1, max_size=4),  # stopwords only
+            # "zebra" is a query token that no utterance holds
+            st.lists(st.sampled_from(_SHARED + _STOP + ["zebra"]), min_size=1, max_size=6),
+        ).map(" ".join),
+        # one-utterance instances and repeated tokens in a row
+        st.lists(
+            st.lists(st.sampled_from(_SHARED + _STOP), min_size=1, max_size=12).map(" ".join),
+            min_size=1,
+            max_size=5,
+        ),
+        # summaries up to 90 tokens: LCS masks wider than 64 bits
+        st.lists(st.sampled_from(_SHARED + _STOP), min_size=1, max_size=90).map(" ".join),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+def _chunked(corpus: Corpus, chunk_tokens: int) -> list:
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scorer, "CHUNK_TOKENS", chunk_tokens)
+        return prepare_corpus(corpus)
+
+
+@settings(max_examples=150, deadline=None)
+@given(meetings=_chunk_instances)
+@example(
+    meetings=[
+        ("what did the", ["cat sat"], " ".join(["the tabby cat sat on the mat"] * 12)),
+        ("zebra cat cat", ["cat cat cat sat", "the mat", "tabby cat"], "tabby cat sat"),
+        ("alice budget", ["alice 42 budget budget", "bob"], "budget 42 alice"),
+    ]
+)
+def test_chunking_leaves_every_bit(meetings):
+    corpus = Corpus(
+        instances=tuple(
+            replace(
+                make_instance(f"inst-{i}", f"meet-{i}", query=query, texts=texts),
+                gold_summary=summary,
+            )
+            for i, (query, texts, summary) in enumerate(meetings)
+        ),
+        split="train",
+    )
+    apart = _chunked(corpus, 1)  # every instance its own chunk
+    together = _chunked(corpus, 10**9)  # one chunk
+    for inst, one, all_ in zip(corpus, apart, together):
+        assert one.instance is inst and all_.instance is inst
+        assert np.array_equal(one.features, all_.features)
+        assert np.array_equal(one.relevance, all_.relevance)
+        stats = scorer.InstanceStats.from_instance(inst)
+        oracle = counter_oracles.feature_rows(inst.query, inst.utterances, stats)
+        assert np.array_equal(all_.features, np.array(oracle))
+        labels = [gold_relevance(u.text, inst.gold_summary) for u in inst.utterances]
+        assert np.array_equal(all_.relevance, np.array(labels))
+
+
+def _preparation_peak(corpus: Corpus) -> int:
+    """tracemalloc's peak during prepare_corpus, less the bytes of the arrays it returns."""
+    tracemalloc.start()
+    try:
+        prepared = prepare_corpus(corpus)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - sum(p.features.nbytes + p.relevance.nbytes for p in prepared)
+
+
+def test_preparation_memory_stays_per_chunk():
+    # 24 instances hold about 11,500 utterance tokens, more than one chunk;
+    # a split four times larger must not need more working memory.
+    base = synth_corpus(24, n_utterances=40, seed=3)
+    larger = synth_corpus(96, n_utterances=40, seed=3)
+    assert _preparation_peak(larger) < 2 * _preparation_peak(base)
 
 
 # ----------------------------------------------------------- locator labels
