@@ -12,14 +12,13 @@ a config-file value must have the default's JSON type: an integer, a number,
 true/false, a string, or a list of integers for hidden_dims. eval trains each
 requested objective through the same objective dispatch as train (_train),
 the re-ranker with the stage-1 settings and on a pairwise stage 1 that it
-rates as well, then rates the models with evaluation.run_comparison. When both
-the stage-1 rows and the baselines are requested, stage 1 and the re-ranker
-train in one forked child process (_run_beside) while the baselines, the
-longer chain, train in this process, so that it does not sit idle waiting for
-the child; every model is a pure function of (corpus, config, seed) and
-returns with its bits intact, so the report's bytes do not depend on it. This
-module is the only one that starts a process. extract re-ranks exactly when
---reranker is given.
+rates as well, then rates the models with evaluation.run_comparison. Every
+eval forks one child process (_run_beside) that trains the requested stage-1
+rows while the requested baselines, the longer chain, train in this process;
+every model is a pure function of (corpus, config, seed) and returns with its
+bits intact, so the report's bytes do not depend on it. This module is the
+only one that starts a process. extract re-ranks exactly when --reranker is
+given.
 
 Each run that writes files also writes a manifest.json next to them recording
 the command, the resolved configuration with its typed values, the seed, the
@@ -31,7 +30,8 @@ written through fileio, whose atomic_open leaves the previous output, if any,
 and no partial one when a command fails part-way. The --out-dir is created by
 the first write, after the inputs have loaded and validated, so a run rejected
 for its inputs leaves no directory behind; an output path that cannot be
-written exits 1.
+written exits 1. A command prints only after it has written every file, the
+manifest last, and a closed stdout exits 1.
 
 Exit codes: 0 success, 1 validation/domain error, 2 usage error.
 """
@@ -49,7 +49,6 @@ import os
 import sys
 from dataclasses import replace
 from datetime import datetime, timezone
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -58,14 +57,13 @@ from . import __version__
 from .corpus import SPLITS, load_corpus, save_corpus
 from .errors import UttrankError, ValidationError
 from .evaluation import COMPARISON_OBJECTIVES, REFERENCE_ROWS, run_comparison
-from .fileio import atomic_open, read_text, sha256, write_text
+from .fileio import atomic_open, read_text, sha256, to_devnull, write_text
 from .pipeline import PipelineConfig, run_pipeline
 from .rouge import rouge_scores
 from .scorer import (
     FEATURE_DIM,
-    chunk_features,
     init_model,
-    iter_chunks,
+    iter_prepared,
     load_model,
     save_model,
     score_utterances,
@@ -253,17 +251,16 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     models = [load_model(path) for path in checkpoints]
     out = Path(args.out_dir)
     with atomic_open(out / "extractions.jsonl") as fh:
-        for instances, stats in iter_chunks(corpus):  # extraction needs no gold labels
-            for instance, features in zip(instances, chunk_features(stats)):
-                scores = [score_utterances(model, features) for model in models]
-                result = run_pipeline(instance, scores[0], scores[-1], pipeline_config)
-                record = {
-                    "instance_id": result.instance_id,
-                    "selected_indices": list(result.selected_indices),
-                    "selection_scores": list(result.selection_scores),
-                    "generator_input": result.generator_input,
-                }
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
+        for instance, features, _ in iter_prepared(corpus):  # extraction needs no gold labels
+            scores = [score_utterances(model, features) for model in models]
+            result = run_pipeline(instance, scores[0], scores[-1], pipeline_config)
+            record = {
+                "instance_id": result.instance_id,
+                "selected_indices": list(result.selected_indices),
+                "selection_scores": list(result.selection_scores),
+                "generator_input": result.generator_input,
+            }
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
     _write_manifest(out, "extract", cfg, None, [args.corpus, *checkpoints])
     return 0
 
@@ -275,31 +272,6 @@ EVAL_DEFAULTS = {
     ),
     **_defaults(PipelineConfig),
 }
-
-
-# The trainer objective of each comparison row that is not named after one.
-_TRAINED_AS = {"pairwise+listwise": "listwise"}
-# The rows eval trains, as two chains that share no model: the re-ranker pools
-# with the pairwise model, the baselines stand alone.
-_CHAINS = (("pairwise", "pairwise+listwise"), ("bce", "mse"))
-
-
-def _train_chain(prepared, train_config: TrainConfig, pipeline_config: PipelineConfig, names):
-    """The model of each row in names, trained in order; the re-ranker's stage 1 is the pairwise one."""
-    models = {}
-    for name in names:
-        config = replace(train_config, objective=_TRAINED_AS.get(name, name))
-        models[name] = _train(prepared, config, pipeline_config, models.get("pairwise")).model
-    return models
-
-
-def _send_outcome(sender, work) -> None:
-    """The forked child's body: work's result, or the exception it raised, sent through sender."""
-    try:
-        outcome = work()
-    except Exception as exc:  # raised again in the parent
-        outcome = exc
-    sender.send(outcome)
 
 
 def _run_beside(work, beside, name: str):
@@ -314,7 +286,15 @@ def _run_beside(work, beside, name: str):
     """
     context = multiprocessing.get_context("fork")
     receiver, sender = context.Pipe(duplex=False)
-    child = context.Process(target=_send_outcome, args=(sender, beside), name=name)
+
+    def send_outcome() -> None:  # the child's body; fork needs no picklable target
+        try:
+            outcome = beside()
+        except Exception as exc:  # raised again in the parent
+            outcome = exc
+        sender.send(outcome)
+
+    child = context.Process(target=send_outcome, name=name)
     child.start()
     sender.close()  # the child's copy is then the only one, so its death reads as EOF
     try:
@@ -350,29 +330,37 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     prepared = prepare_corpus(train)
     # The re-ranker pools with the pairwise model, so that one is trained too, and first.
     wanted = {*objectives, "pairwise"} if "pairwise+listwise" in objectives else set(objectives)
-    stage1, baselines = ([name for name in chain if name in wanted] for chain in _CHAINS)
-    train_rows = partial(_train_chain, prepared, train_config, pipeline_config)
-    if stage1 and baselines:
-        # Stage 1 trains in a forked child meanwhile. The baselines, the longer
-        # chain, train here, so that this process computes to the end instead
-        # of sleeping on the pipe while the child finishes.
-        trained, models = _run_beside(
-            partial(train_rows, baselines), partial(train_rows, stage1), "stage-1 training"
-        )
-        models.update(trained)
-    else:
-        models = train_rows(stage1 + baselines)
-    report = run_comparison(test, models, pipeline_config)
+
+    def train_rows(chain: dict[str, str]) -> dict:
+        """The model of each wanted row of chain, which maps rows to trainer objectives, in order."""
+        models = {}
+        for name, objective in chain.items():
+            if name in wanted:
+                config = replace(train_config, objective=objective)
+                models[name] = _train(prepared, config, pipeline_config, models.get("pairwise")).model
+        return models
+
+    # Two chains that share no model. Stage 1 trains in a forked child
+    # meanwhile; the baselines, the longer chain, train here, so that this
+    # process computes to the end instead of sleeping on the pipe.
+    baselines, models = _run_beside(
+        lambda: train_rows({"bce": "bce", "mse": "mse"}),
+        lambda: train_rows({"pairwise": "pairwise", "pairwise+listwise": "listwise"}),
+        "stage-1 training",
+    )
+    report = run_comparison(test, {**models, **baselines}, pipeline_config)
     out = Path(args.out_dir)
     write_text(out / "report.json", report.to_json() + "\n")
     write_text(out / "report.txt", report.format_table() + "\n")
-    print(report.format_table())
     inputs = [args.train_corpus, args.validation_corpus, args.test_corpus]
     _write_manifest(out, "eval", cfg, train_config.seed, inputs)
+    print(report.format_table(), flush=True)
     return 0
 
 
 def _rouge_pairs(args: argparse.Namespace) -> list[tuple[str, str]]:
+    if args.pairs and (args.candidate or args.reference):
+        raise ValidationError("rouge takes either --pairs or --candidate and --reference, not both")
     if args.pairs:
         pairs = []
         rows = csv.reader(io.StringIO(read_text(args.pairs, newline=""), newline=""), delimiter="\t")
@@ -416,12 +404,12 @@ def _cmd_rouge(args: argparse.Namespace) -> int:
         for name in ("rouge1", "rouge2", "rougeL")
     }
     payload = json.dumps({"pairs": rows, "mean": mean}, indent=2, sort_keys=True)
-    print(payload)
     if args.out_dir:
         out = Path(args.out_dir)
         write_text(out / "rouge.json", payload + "\n")
         inputs = [p for p in (args.pairs, args.candidate, args.reference) if p]
         _write_manifest(out, "rouge", {}, None, inputs)
+    print(payload, flush=True)
     return 0
 
 
@@ -465,11 +453,11 @@ def _cmd_gradcheck(args: argparse.Namespace) -> int:
         all_passed &= passed
         results[objective] = {"max_relative_error": worst, "passed": passed}
     payload = json.dumps(results, indent=2, sort_keys=True)
-    print(payload)
     if args.out_dir:
         out = Path(args.out_dir)
         write_text(out / "gradcheck.json", payload + "\n")
         _write_manifest(out, "gradcheck", cfg, cfg["seed"], [])
+    print(payload, flush=True)
     return 0 if all_passed else 1
 
 
@@ -603,6 +591,10 @@ def dispatch(argv) -> int:
         return args.func(args)
     except UttrankError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError as exc:  # stdout closed: fileio reports its own write failures
+        to_devnull(sys.stdout)  # what print left buffered would fail again at exit
+        print(f"error: cannot write to stdout: {exc}", file=sys.stderr)
         return 1
 
 

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .errors import ValidationError
 
-__all__ = ["atomic_open", "read_text", "sha256", "write_text"]
+__all__ = ["atomic_open", "read_text", "sha256", "to_devnull", "write_text"]
 
 
 def read_text(path: str | Path, newline: str | None = None, missing_ok: bool = False) -> str | None:
@@ -65,3 +65,12 @@ def write_text(path: str | Path, text: str) -> None:
     """text written to path through atomic_open."""
     with atomic_open(path) as fh:
         fh.write(text)
+
+
+def to_devnull(stream) -> None:
+    """Point stream's file descriptor, if it has one, at os.devnull, so that flushing it cannot fail."""
+    with contextlib.suppress(AttributeError, OSError):  # io.UnsupportedOperation is an OSError
+        fd = stream.fileno()
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)

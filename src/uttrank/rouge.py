@@ -13,12 +13,13 @@ its own reference in one pass, as the non-zero cells of a sparse count
 matrix; ROUGE-N is the clipped overlap of those cells with the reference's
 counts. ROUGE-L takes one bit-parallel LCS per row, on match masks built
 once per reference. group_relevances labels every row of the groups at
-once; trainer.prepare_corpus calls it on a chunk of instances, one group per
+once; scorer.iter_prepared calls it on a chunk of instances, one group per
 instance. The one-reference calls are the one-group case: _encode maps the
-candidates' tokens to ids against the reference, and token_rouge_scores,
-rouge_scores, rouge_l, token_relevances and gold_relevance score that one
-group, rouge_n (any n) calls the kernel for one pair. scorer builds its
-overlap features on the kernel, with each query as a group's reference.
+candidates' tokens to ids against the reference, rouge_scores and
+gold_relevance run the kernels on that one group, rouge_l reads
+rouge_scores, and rouge_n (any n) calls the kernel for one pair. scorer
+builds its overlap features on the kernel, with each query as a group's
+reference.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice, repeat
-from typing import Hashable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Hashable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -40,11 +41,9 @@ __all__ = [
     "rouge_n",
     "lcs_length",
     "rouge_l",
-    "token_rouge_scores",
     "rouge_scores",
     "TokenGroups",
     "group_relevances",
-    "token_relevances",
     "gold_relevance",
 ]
 
@@ -297,16 +296,10 @@ def _rouge_prf(groups: TokenGroups):
     )
 
 
-def token_rouge_scores(
-    candidates: Iterable[TokenSequence], reference: TokenSequence
-) -> list[tuple[RougeScore, RougeScore, RougeScore]]:
-    """(ROUGE-1, ROUGE-2, ROUGE-L) of each candidate token list against one reference."""
-    return list(zip(*map(_scores, _rouge_prf(_encode(list(candidates), reference)))))
-
-
 def rouge_scores(candidates, reference: str) -> list[tuple[RougeScore, RougeScore, RougeScore]]:
     """(ROUGE-1, ROUGE-2, ROUGE-L) of each candidate text against one reference text."""
-    return token_rouge_scores((tokenize(text) for text in candidates), tokenize(reference))
+    groups = _encode([tokenize(text) for text in candidates], tokenize(reference))
+    return list(zip(*map(_scores, _rouge_prf(groups))))
 
 
 def group_relevances(groups: TokenGroups) -> np.ndarray:
@@ -319,11 +312,6 @@ def group_relevances(groups: TokenGroups) -> np.ndarray:
     return (f1 + f2 + fl) / 3.0
 
 
-def token_relevances(candidates: Iterable[TokenSequence], gold_summary: TokenSequence) -> list[float]:
-    """Relevance label of each utterance token list; the one-group call of group_relevances."""
-    return group_relevances(_encode(list(candidates), gold_summary)).tolist()
-
-
 def gold_relevance(utterance: str, gold_summary: str) -> float:
-    """Relevance label of one utterance text; see token_relevances."""
-    return token_relevances([tokenize(utterance)], tokenize(gold_summary))[0]
+    """Relevance label of one utterance text; the one-row call of group_relevances."""
+    return group_relevances(_encode([tokenize(utterance)], tokenize(gold_summary))).item()

@@ -1,12 +1,13 @@
 """Differentiable query-relevance scoring.
 
-iter_chunks walks a corpus a chunk of instances at a time, each chunk about
-CHUNK_TOKENS utterance tokens, so the arrays of one pass stay small. It
-tokenizes each instance's texts once and numbers each instance's distinct
-tokens apart from every other instance's, then lays the chunk's instances
-back to back in one InstanceStats. chunk_features computes every column for
-all rows of the chunk at once from the ROUGE kernel's counts against each
-row's query. InstanceStats.from_instance and instance_features are the
+iter_prepared yields each instance with its feature matrix and, when asked,
+its gold labels, computed a chunk of about CHUNK_TOKENS utterance tokens at
+a time. It tokenizes each instance's texts once and numbers each instance's
+distinct tokens apart from every other instance's, then lays the chunk's
+instances back to back in one InstanceStats: every feature of the chunk's
+rows comes from one pass over the ROUGE kernel's counts against each row's
+query, and every label from one group_relevances call against each gold
+summary. InstanceStats.from_instance and instance_features are the
 one-instance case of the same pass, and featurize its one-row case. Each
 tf-idf sum goes through np.bincount, which adds a row's terms in input order
 starting from 0.0, and squares are the product w * w, so each value equals a
@@ -33,7 +34,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
@@ -42,7 +43,7 @@ import numpy as np
 from .corpus import QueryInstance, Utterance
 from .errors import ValidationError
 from .fileio import read_text, write_text
-from .rouge import TokenGroups, _ngram_counts, _ngram_prf, _ratio, tokenize
+from .rouge import TokenGroups, _ngram_counts, _ngram_prf, _ratio, group_relevances, tokenize
 
 FEATURE_NAMES = (
     "query_unigram_f1",
@@ -74,10 +75,9 @@ __all__ = [
     "FEATURE_DIM",
     "CHUNK_TOKENS",
     "InstanceStats",
-    "iter_chunks",
+    "iter_prepared",
     "featurize",
     "instance_features",
-    "chunk_features",
     "ScoringModel",
     "ParameterGradient",
     "init_model",
@@ -115,8 +115,11 @@ def _row_terms(ids: np.ndarray, lengths: np.ndarray, width: int):
     """Each row's distinct ids and their counts: rows in order, ids in first-occurrence order.
 
     One sort of (row, id, position) keys groups each row's occurrences of
-    an id, the first one leading; ids are below width. It needs no argsort,
-    so on a chunk it takes less peak memory than np.unique's return_index.
+    an id, the first one leading; ids are below width. It is kept for speed:
+    over the chunks of each benchmark workload's train split it takes half
+    the time of np.unique(row * width + ids, return_index=True,
+    return_counts=True), 2.0-2.9 against 4.4-7.3 ms (2 vCPUs, NumPy 2.4.6),
+    and saves only about 0.15 MB of peak memory per chunk.
     """
     n = len(ids)
     shift = n.bit_length()
@@ -289,13 +292,10 @@ def _build_stats(
     )
 
 
-def iter_chunks(
+def iter_prepared(
     instances: Iterable[QueryInstance], with_gold: bool = False
-) -> Iterator[tuple[list[QueryInstance], InstanceStats]]:
-    """Consecutive runs of instances, each with its InstanceStats, of about CHUNK_TOKENS utterance tokens.
-
-    with_gold also numbers each gold summary, for the relevance labels.
-    """
+) -> Iterator[tuple[QueryInstance, np.ndarray, np.ndarray | None]]:
+    """Each instance with its feature matrix and its relevance labels, None unless with_gold."""
     chunk, parts, n_tokens = [], [], 0
     for instance in instances:
         gold = instance.gold_summary if with_gold else None
@@ -303,10 +303,17 @@ def iter_chunks(
         chunk.append(instance)
         n_tokens += len(parts[-1].utterances)
         if n_tokens >= CHUNK_TOKENS:
-            yield chunk, _build_stats(parts, with_gold)
+            yield from _prepared(chunk, _build_stats(parts, with_gold))
             chunk, parts, n_tokens = [], [], 0
     if chunk:
-        yield chunk, _build_stats(parts, with_gold)
+        yield from _prepared(chunk, _build_stats(parts, with_gold))
+
+
+def _prepared(instances: list[QueryInstance], stats: InstanceStats):
+    """Each instance of stats with its feature matrix and its labels, None without stats.gold."""
+    features = stats.per_instance(_features(stats))
+    labels = repeat(None) if stats.gold is None else stats.per_instance(group_relevances(stats.gold))
+    return zip(instances, features, labels)
 
 
 def _features(stats: InstanceStats) -> np.ndarray:
@@ -357,24 +364,12 @@ def featurize(query: str, utterance: Utterance, stats: InstanceStats) -> np.ndar
     vocab, part = _numbered(query, (utterance,), None)
     one = _build_stats([part], False, vocab)
     idf_by_id = np.array([stats.idf(t) for t in one.vocab], dtype=np.float64)
-    counts = np.array([stats.n_utterances])
-    return _features(replace(one, idf_by_id=idf_by_id, utterance_counts=counts))[0]
+    return _features(replace(one, idf_by_id=idf_by_id, utterance_counts=stats.utterance_counts))[0]
 
 
-def instance_features(instance: QueryInstance, stats: InstanceStats | None = None) -> np.ndarray:
-    """Feature matrix (n_utterances, FEATURE_DIM) of one instance, a featurize row per utterance.
-
-    The one-instance case of chunk_features; stats, built here when not
-    given, must be this instance's.
-    """
-    if stats is None:
-        stats = InstanceStats.from_instance(instance)
-    return _features(stats)
-
-
-def chunk_features(stats: InstanceStats) -> list[np.ndarray]:
-    """The feature matrix of each instance in stats, all from one pass over their rows."""
-    return stats.per_instance(_features(stats))
+def instance_features(instance: QueryInstance) -> np.ndarray:
+    """Feature matrix (n_utterances, FEATURE_DIM) of one instance: the one-instance case of iter_prepared's."""
+    return _features(InstanceStats.from_instance(instance))
 
 
 @dataclass

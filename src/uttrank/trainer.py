@@ -1,10 +1,8 @@
 """Training loops for the ranking objectives, plus the gradient checker.
 
-prepare_corpus walks the corpus a chunk of instances at a time
-(scorer.CHUNK_TOKENS utterance tokens each) and tokenizes each instance once
-for its features and gold labels, both computed for every utterance of the
-chunk in one pass from integer counts; every train_* function takes the
-prepared instances first.
+prepare_corpus collects each instance with the feature matrix and gold labels
+that scorer.iter_prepared hands back for it; every train_* function takes
+the prepared instances first.
 
 All four objectives train through one loop. train_ranker (pairwise) and
 train_baseline (bce, mse) make one unit per partition_samples window;
@@ -39,19 +37,17 @@ from .ranklosses import (
     mse_simulator_loss,
     pairwise_margin_loss,
 )
-from .rouge import group_relevances
 from .scorer import (
     FEATURE_DIM,
     ParameterGradient,
     ScoringModel,
     apply_gradient,
     backward,
-    chunk_features,
     flat_gradient,
     flat_params,
     forward,
     init_model,
-    iter_chunks,
+    iter_prepared,
     num_params,
     score_utterances,
     set_flat_params,
@@ -128,15 +124,8 @@ class PreparedInstance:
 
 
 def prepare_corpus(corpus: Corpus) -> list[PreparedInstance]:
-    """Features and gold labels of every instance, a chunk of instances per pass.
-
-    Both come from the token ids of the chunk's one InstanceStats.
-    """
-    prepared = []
-    for instances, stats in iter_chunks(corpus, with_gold=True):
-        relevance = stats.per_instance(group_relevances(stats.gold))
-        prepared.extend(map(PreparedInstance, instances, chunk_features(stats), relevance))
-    return prepared
+    """Features and gold labels of every instance, a chunk of instances per pass."""
+    return [PreparedInstance(*prepared) for prepared in iter_prepared(corpus, with_gold=True)]
 
 
 def locator_labels(prep: PreparedInstance, n_positive: int, use_spans: bool) -> np.ndarray:

@@ -3,6 +3,7 @@
 import contextlib
 import hashlib
 import inspect
+import io
 import json
 import logging
 import multiprocessing
@@ -161,6 +162,25 @@ def test_rouge_pairs_tsv_and_errors(tmp_path, capsys):
         assert dispatch(["rouge", *argv]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot read {path}")
+
+
+def test_rouge_rejects_pairs_beside_candidate_or_reference(tmp_path, capsys):
+    # --pairs alone is scored, so a --candidate or --reference beside it would
+    # be digested into the manifest without being read.
+    tsv = tmp_path / "pairs.tsv"
+    tsv.write_text("a b\ta c\n", encoding="utf-8")
+    text = tmp_path / "t.txt"
+    text.write_text("a b\n", encoding="utf-8")
+    out = tmp_path / "scores"
+    for extra in (["--candidate"], ["--reference"], ["--candidate", str(text), "--reference"]):
+        argv = ["rouge", "--pairs", str(tsv), *extra, str(text), "--out-dir", str(out)]
+        assert dispatch(argv) == 1
+        printed = capsys.readouterr()
+        assert printed.out == ""
+        assert printed.err == (
+            "error: rouge takes either --pairs or --candidate and --reference, not both\n"
+        )
+        assert not out.exists()
 
 
 # ---------------------------------------------------------------------- synth
@@ -805,9 +825,12 @@ def test_eval_rates_the_models_train_ships(seeded_eval):
     assert report["config"] == {"pipeline": asdict(pcfg)}
 
 
-def test_eval_reranker_row_alone_also_rates_its_stage1(seeded_eval):
-    tmp, corpus, _, _ = seeded_eval
-    out = tmp / "reranker-only"
+@pytest.mark.parametrize("objectives", ["pairwise+listwise", "bce,mse", "mse,pairwise", "lead"])
+def test_eval_objective_subset_trains_stage1_in_the_one_child(seeded_eval, objectives):
+    # The child trains the requested stage-1 rows, or nothing; the re-ranker
+    # row brings its pairwise stage 1, and lead and gold always appear.
+    tmp, corpus, report, _ = seeded_eval
+    out = tmp / f"subset-{objectives}"
     with _process_starts() as started:
         code = dispatch(
             [
@@ -816,15 +839,17 @@ def test_eval_reranker_row_alone_also_rates_its_stage1(seeded_eval):
                 "--validation-corpus", str(corpus / "validation.jsonl"),
                 "--test-corpus", str(corpus / "test.jsonl"),
                 "--out-dir", str(out),
-                "--objectives", "pairwise+listwise",
+                "--objectives", objectives,
                 *EVAL_FLAGS,
             ]
         )
     assert code == 0
-    assert started == []  # one chain trains in this process
+    assert [(p.name, p.exitcode) for p in started] == [("stage-1 training", 0)]
+    wanted = {*objectives.split(","), "lead", "gold"}
+    if "pairwise+listwise" in wanted:
+        wanted.add("pairwise")
     rows = json.loads((out / "report.json").read_text())["rows"]
-    assert [r["objective"] for r in rows] == ["pairwise+listwise", "pairwise", "lead", "gold"]
-    assert rows == [r for r in seeded_eval[2]["rows"] if r["objective"] not in ("bce", "mse")]
+    assert rows == [r for r in report["rows"] if r["objective"] in wanted]
 
 
 def _failing_eval(tmp_path):
@@ -957,6 +982,72 @@ def test_gradcheck_rejects_too_few_points(tmp_path, capsys, points):
     assert dispatch(["gradcheck", "--points", points, "--out-dir", str(out)]) == 1
     assert "points" in capsys.readouterr().err
     assert not (out / "gradcheck.json").exists()
+
+
+# -------------------------------------------------------------- closed stdout
+
+class _ClosedStdout(io.TextIOBase):
+    """A stdout whose reader has gone, with no file descriptor."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def _printing_argv(tmp_path, command: str) -> list[str]:
+    """A small run of a command that writes files and then prints, less its --out-dir."""
+    if command == "rouge":
+        tsv = tmp_path / "pairs.tsv"
+        tsv.write_text("a b c\ta b d\nx y\tx y\n", encoding="utf-8")
+        return ["rouge", "--pairs", str(tsv)]
+    if command == "gradcheck":
+        return ["gradcheck", "--objectives", "mse,pairwise", "--points", "2"]
+    corpus = _synth(tmp_path, "c", instances=6, validation_instances=2, test_instances=2)
+    return [
+        "eval",
+        "--train-corpus", str(corpus / "train.jsonl"),
+        "--validation-corpus", str(corpus / "validation.jsonl"),
+        "--test-corpus", str(corpus / "test.jsonl"),
+        "--epochs", "1", "--sample-size", "10", "--per-sample-top", "3",
+    ]
+
+
+def _outputs(out: Path) -> tuple[dict, dict]:
+    """The bytes of each file under out but the manifest, and the manifest less its timestamp."""
+    files = {p.name: p.read_bytes() for p in out.iterdir()}
+    manifest = json.loads(files.pop("manifest.json"))
+    del manifest["timestamp"]
+    return files, manifest
+
+
+@pytest.mark.parametrize("command", ["rouge", "gradcheck", "eval"])
+def test_closed_stdout_exits_one_after_writing_every_output(tmp_path, capsys, monkeypatch, command):
+    argv = _printing_argv(tmp_path, command)
+    assert dispatch([*argv, "--out-dir", str(tmp_path / "open")]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(sys, "stdout", _ClosedStdout())
+    assert dispatch([*argv, "--out-dir", str(tmp_path / "closed")]) == 1
+    assert capsys.readouterr().err == "error: cannot write to stdout: [Errno 32] Broken pipe\n"
+    assert _outputs(tmp_path / "closed") == _outputs(tmp_path / "open")
+
+
+def test_closed_stdout_pipe_ends_in_one_error_line(tmp_path):
+    # The pipe's reader is gone before the process starts, so its first flush
+    # fails, and the flush at exit must find somewhere to write.
+    src = str(Path(uttrank.__file__).resolve().parents[1])
+    reader, writer = os.pipe()
+    os.close(reader)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "uttrank", *_printing_argv(tmp_path, "rouge")],
+            stdout=writer,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            check=False,
+        )
+    finally:
+        os.close(writer)
+    assert (proc.returncode, proc.stderr) == (1, "error: cannot write to stdout: [Errno 32] Broken pipe\n")
 
 
 # ------------------------------------------------------------- python -m

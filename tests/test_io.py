@@ -167,6 +167,32 @@ def test_only_cli_starts_processes():
     assert found == {"cli.py"}  # the scan sees the import it allows
 
 
+# The names of a chunk's layout: scorer builds it and reads its labels from
+# rouge, and every other module takes each instance's arrays from
+# scorer.iter_prepared.
+_CHUNK_NAMES = {"InstanceStats", "TokenGroups", "group_relevances", "chunk_features"}
+_LAYOUT_MODULES = ("scorer.py", "rouge.py")
+
+
+def _chunk_names(tree: ast.AST):
+    """Each name of _CHUNK_NAMES that tree imports or reads as an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names if alias.name in _CHUNK_NAMES)
+        elif isinstance(node, ast.Attribute) and node.attr in _CHUNK_NAMES:
+            yield node.attr
+
+
+def test_only_scorer_and_rouge_know_the_chunk_layout():
+    package = Path(uttrank.__file__).resolve().parent
+    found = {
+        module.name: sorted(set(_chunk_names(ast.parse(module.read_text(encoding="utf-8")))))
+        for module in sorted(package.glob("*.py"))
+    }
+    assert {name: names for name, names in found.items() if names and name not in _LAYOUT_MODULES} == {}
+    assert found["scorer.py"] == ["TokenGroups", "group_relevances"]  # the scan sees what it allows
+
+
 @pytest.mark.parametrize(
     "source",
     ["import multiprocessing", "from multiprocessing import Process", "import concurrent.futures",

@@ -20,8 +20,6 @@ from uttrank.rouge import (
     rouge_l,
     rouge_n,
     rouge_scores,
-    token_relevances,
-    token_rouge_scores,
     tokenize,
 )
 
@@ -320,14 +318,14 @@ _texts = st.lists(st.sampled_from(_WORDS), max_size=25).map(" ".join)
 @settings(max_examples=150, deadline=None)
 @given(candidates=st.lists(_texts, max_size=8), reference=_texts)
 def test_batch_scores_equal_per_text_scores(candidates, reference):
-    labels = token_relevances([tokenize(text) for text in candidates], tokenize(reference))
+    triples = rouge_scores(candidates, reference)
+    labels = [(r1.f1 + r2.f1 + rl.f1) / 3 for r1, r2, rl in triples]
     assert labels == [gold_relevance(text, reference) for text in candidates]
-    for text, label, triple in zip(candidates, labels, rouge_scores(candidates, reference)):
+    for text, triple in zip(candidates, triples):
         r1 = rouge_n(text, reference, 1)
         r2 = rouge_n(text, reference, 2)
         rl = rouge_l(text, reference)
         assert triple == (r1, r2, rl)
-        assert label == (r1.f1 + r2.f1 + rl.f1) / 3
 
 
 def test_rouge_score_f1_invariant():
@@ -369,5 +367,4 @@ def test_batch_rouge_n_equals_counter_oracle(candidates, reference):
 
 
 def test_no_candidates_score_nothing():
-    assert token_rouge_scores([], ["a", "b"]) == []
-    assert token_relevances([], ["a", "b"]) == []
+    assert rouge_scores([], "a b") == []
