@@ -364,14 +364,17 @@ def _rouge_pairs(args: argparse.Namespace) -> list[tuple[str, str]]:
     if args.pairs:
         pairs = []
         rows = csv.reader(io.StringIO(read_text(args.pairs, newline=""), newline=""), delimiter="\t")
-        for row_number, row in enumerate(rows, start=1):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ValidationError(
-                    f"{args.pairs}:{row_number}: expected 2 tab-separated columns, got {len(row)}"
-                )
-            pairs.append((row[0], row[1]))
+        try:
+            for row in rows:
+                if not row:
+                    continue
+                if len(row) != 2:
+                    raise ValidationError(
+                        f"{args.pairs}:{rows.line_num}: expected 2 tab-separated columns, got {len(row)}"
+                    )
+                pairs.append((row[0], row[1]))
+        except csv.Error as exc:
+            raise ValidationError(f"{args.pairs}:{rows.line_num}: {exc}") from exc
         if not pairs:
             raise ValidationError(f"{args.pairs}: no candidate/reference pairs found")
         return pairs

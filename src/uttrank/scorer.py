@@ -25,8 +25,11 @@ activations and the vector of upstream score gradients and returns one
 parameter gradient summed over the rows. Call backward with the model that
 ran the forward pass, before any update is applied to it.
 
-forward and the feature functions are read-only and safe to call
-concurrently; parameter updates are single-writer.
+A model's parameters live only in ScoringModel.weights and .biases, one
+array per layer. forward and the feature functions are read-only and safe to
+call concurrently; parameter updates are single-writer: apply_gradient
+replaces the arrays, and trainer.grad_check perturbs their entries in place
+and restores each one.
 """
 
 from __future__ import annotations
@@ -84,9 +87,6 @@ __all__ = [
     "forward",
     "backward",
     "score_utterances",
-    "num_params",
-    "flat_params",
-    "set_flat_params",
     "apply_gradient",
     "save_model",
     "load_model",
@@ -449,36 +449,6 @@ def backward(
 def score_utterances(model: ScoringModel, features: np.ndarray) -> np.ndarray:
     """Model score per row of an instance's feature matrix, aligned with transcript indices."""
     return forward(model, features)[0]
-
-
-def num_params(model: ScoringModel) -> int:
-    return sum(w.size for w in model.weights) + sum(b.size for b in model.biases)
-
-
-def _flatten(weights: list[np.ndarray], biases: list[np.ndarray]) -> np.ndarray:
-    """Layer by layer, each layer's weights then its biases."""
-    parts = [part.ravel() for w, b in zip(weights, biases) for part in (w, b)]
-    return np.concatenate(parts) if parts else np.zeros(0)
-
-
-def flat_params(model: ScoringModel) -> np.ndarray:
-    return _flatten(model.weights, model.biases)
-
-
-def set_flat_params(model: ScoringModel, vector: np.ndarray) -> None:
-    vector = np.asarray(vector, dtype=np.float64)
-    if vector.shape != (num_params(model),):
-        raise ValidationError(f"parameter vector shape {vector.shape} != ({num_params(model)},)")
-    pos = 0
-    for l, (w, b) in enumerate(zip(model.weights, model.biases)):
-        model.weights[l] = vector[pos : pos + w.size].reshape(w.shape).copy()
-        pos += w.size
-        model.biases[l] = vector[pos : pos + b.size].copy()
-        pos += b.size
-
-
-def flat_gradient(grad: ParameterGradient) -> np.ndarray:
-    return _flatten(grad.weights, grad.biases)
 
 
 def apply_gradient(model: ScoringModel, grad: ParameterGradient, learning_rate: float) -> None:

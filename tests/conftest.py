@@ -1,5 +1,6 @@
 """Shared fixtures: small hand-built corpora used across test modules."""
 
+import numpy as np
 import pytest
 
 from uttrank.corpus import Corpus, QueryInstance, Utterance
@@ -26,6 +27,12 @@ def make_instance(instance_id="inst-0", meeting_id="meet-0", query="find the tab
         utterances=utts,
         gold_summary="the tabby cat sat on the mat and chased the laser dot",
     )
+
+
+def flat(model_or_gradient):
+    """Every weight array, then every bias array, as one vector: compares two models or gradients."""
+    parts = [p.ravel() for p in (*model_or_gradient.weights, *model_or_gradient.biases)]
+    return np.concatenate(parts) if parts else np.zeros(0)
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 """End-to-end command-line behaviour: exit codes, files, determinism."""
 
 import contextlib
+import csv
 import hashlib
 import inspect
 import io
@@ -181,6 +182,31 @@ def test_rouge_rejects_pairs_beside_candidate_or_reference(tmp_path, capsys):
             "error: rouge takes either --pairs or --candidate and --reference, not both\n"
         )
         assert not out.exists()
+
+
+def test_rouge_pairs_field_over_the_csv_limit_is_one_error_line(tmp_path, capsys):
+    # The csv field limit is process-wide state and stays as it is; a longer
+    # field is rejected with its line named, not a traceback.
+    tsv = tmp_path / "long.tsv"
+    tsv.write_text("a b\tc\n" + "x" * 140_000 + "\ty\n", encoding="utf-8")
+    out = tmp_path / "scores"
+    assert dispatch(["rouge", "--pairs", str(tsv), "--out-dir", str(out)]) == 1
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert printed.err == f"error: {tsv}:2: field larger than field limit ({csv.field_size_limit()})\n"
+    assert not out.exists()
+
+
+def test_rouge_pairs_error_names_the_line_not_the_row(tmp_path, capsys):
+    # The quoted first field spans lines 1 and 2, so the one-column row is on line 3.
+    tsv = tmp_path / "ml.tsv"
+    tsv.write_text('"a\nb"\tc\nx\n', encoding="utf-8")
+    out = tmp_path / "scores"
+    assert dispatch(["rouge", "--pairs", str(tsv), "--out-dir", str(out)]) == 1
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert printed.err == f"error: {tsv}:3: expected 2 tab-separated columns, got 1\n"
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------- synth
@@ -974,6 +1000,20 @@ def test_gradcheck_runs_a_repeated_objective_once(capsys):
     once = capsys.readouterr().out
     assert dispatch(["gradcheck", "--objectives", " pairwise,pairwise", "--points", "2"]) == 0
     assert capsys.readouterr().out == once
+
+
+@pytest.mark.parametrize(
+    "flags, digest",
+    [
+        ([], "17d34d9008a0802afa472e76b1818548bc8a569ef15febb89fcc089be9171d15"),
+        (["--hidden-dims", "4,3"], "6f9e3afe3692c70d9bd093335b33e3187c7fddc10e40b96a8b3b53d335406b45"),
+    ],
+)
+def test_gradcheck_stdout_bytes_are_pinned(capsys, flags, digest):
+    # Literals taken while grad_check still perturbed a flat copy of the
+    # parameters: every relative error keeps its bits.
+    assert dispatch(["gradcheck", "--points", "5", "--seed", "3", *flags]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
 
 
 @pytest.mark.parametrize("points", ["0", "-3"])

@@ -20,11 +20,10 @@ from uttrank.pipeline import (
 )
 from uttrank.scorer import (
     FEATURE_DIM,
+    ScoringModel,
     init_model,
     instance_features,
-    num_params,
     score_utterances,
-    set_flat_params,
 )
 from tests.conftest import make_instance
 
@@ -49,9 +48,8 @@ def _instance(n, tokens_per_utt=6):
 
 
 def _linear_model(weights, bias=0.0):
-    model = init_model((FEATURE_DIM, 1), seed=0)
-    set_flat_params(model, np.concatenate([np.asarray(weights, dtype=float), [bias]]))
-    return model
+    weights = np.asarray(weights, dtype=float).reshape(1, FEATURE_DIM)
+    return ScoringModel((FEATURE_DIM, 1), [weights], [np.array([float(bias)])], seed=0)
 
 
 # ---------------------------------------------------------- rank_descending

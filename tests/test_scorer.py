@@ -17,22 +17,19 @@ from uttrank.scorer import (
     FEATURE_DIM,
     STOPWORDS,
     InstanceStats,
+    ScoringModel,
     apply_gradient,
     backward,
     featurize,
-    flat_gradient,
-    flat_params,
     forward,
     init_model,
     instance_features,
     load_model,
-    num_params,
     save_model,
     score_utterances,
-    set_flat_params,
 )
 from tests import counter_oracles
-from tests.conftest import make_instance
+from tests.conftest import flat, make_instance
 
 
 def _stats(instance):
@@ -226,18 +223,18 @@ def test_bincount_adds_each_row_left_to_right(n_rows, pairs):
 def test_init_same_seed_identical():
     a = init_model((7, 16, 1), seed=3)
     b = init_model((7, 16, 1), seed=3)
-    assert np.array_equal(flat_params(a), flat_params(b))
+    assert np.array_equal(flat(a), flat(b))
 
 
 def test_init_different_seed_differs():
     a = init_model((7, 16, 1), seed=3)
     b = init_model((7, 16, 1), seed=4)
-    assert not np.array_equal(flat_params(a), flat_params(b))
+    assert not np.array_equal(flat(a), flat(b))
 
 
 def test_param_count_7_16_1():
     model = init_model((7, 16, 1), seed=0)
-    assert num_params(model) == 7 * 16 + 16 + 16 * 1 + 1 == 145
+    assert flat(model).size == 7 * 16 + 16 + 16 * 1 + 1 == 145
 
 
 def test_init_bounds_follow_fan_sums():
@@ -258,26 +255,19 @@ def test_init_rejects_an_empty_layer():
         init_model((7, 0, 1), seed=0)
 
 
-def test_set_flat_params_rejects_a_wrong_length():
-    model = init_model((7, 4, 1), seed=0)
-    for size in (num_params(model) - 1, num_params(model) + 1):
-        with pytest.raises(ValidationError, match="parameter vector shape"):
-            set_flat_params(model, np.zeros(size))
-
-
 # ---------------------------------------------------------------- forward
 
 def test_forward_zero_model_scores_zero():
-    model = init_model((4, 3, 1), seed=0)
-    set_flat_params(model, np.zeros(num_params(model)))
+    model = ScoringModel(
+        (4, 3, 1), [np.zeros((3, 4)), np.zeros((1, 3))], [np.zeros(3), np.zeros(1)], seed=0
+    )
     scores, _ = forward(model, np.array([[1.0, -2.0, 0.5, 3.0]]))
     assert scores[0] == 0.0
 
 
 def test_forward_single_linear_layer_is_dot_product():
-    model = init_model((3, 1), seed=1)
     w = np.array([0.2, -0.4, 1.1])
-    set_flat_params(model, np.concatenate([w, [0.35]]))
+    model = ScoringModel((3, 1), [w[None, :]], [np.array([0.35])], seed=1)
     x = np.array([1.0, 2.0, -1.0])
     scores, _ = forward(model, x[None, :])
     assert scores[0] == pytest.approx(float(w @ x) + 0.35)
@@ -322,7 +312,7 @@ def test_backward_zero_upstream():
     x = np.array([[0.3, -0.7, 0.9]])
     _, activations = forward(model, x)
     grad = backward(model, activations, np.array([0.0]))
-    assert np.all(flat_gradient(grad) == 0.0)
+    assert np.all(flat(grad) == 0.0)
 
 
 def test_backward_linear_layer_gradient_is_input():
@@ -343,19 +333,18 @@ def test_backward_matches_finite_differences():
         model = init_model(dims, seed=int(rng.integers(0, 10_000)))
         x = rng.normal(size=(1, dims[0]))
         _, activations = forward(model, x)
-        analytic = flat_gradient(backward(model, activations, np.array([1.0])))
-        theta = flat_params(model)
-        numeric = np.empty_like(theta)
-        for j in range(len(theta)):
-            bump = theta.copy()
-            bump[j] += eps
-            set_flat_params(model, bump)
-            up = forward(model, x)[0][0]
-            bump[j] -= 2 * eps
-            set_flat_params(model, bump)
-            dn = forward(model, x)[0][0]
-            numeric[j] = (up - dn) / (2 * eps)
-            set_flat_params(model, theta)
+        analytic = flat(backward(model, activations, np.array([1.0])))
+        numeric = []
+        for params in (*model.weights, *model.biases):
+            for index in np.ndindex(params.shape):
+                saved = params[index]
+                params[index] = saved + eps
+                up = forward(model, x)[0][0]
+                params[index] = saved - eps
+                dn = forward(model, x)[0][0]
+                params[index] = saved
+                numeric.append((up - dn) / (2 * eps))
+        numeric = np.array(numeric)
         denom = np.maximum(np.abs(analytic) + np.abs(numeric), 1e-8)
         worst = max(worst, float(np.max(np.abs(analytic - numeric) / denom)))
     assert worst <= 1e-5
@@ -447,7 +436,7 @@ def test_save_load_roundtrip(tmp_path):
     save_model(model, path)
     again = load_model(path)
     assert again.layer_dims == model.layer_dims
-    assert np.array_equal(flat_params(again), flat_params(model))
+    assert np.array_equal(flat(again), flat(model))
     x = np.linspace(0, 1, 7)[None, :]
     assert forward(again, x)[0][0] == forward(model, x)[0][0]
 

@@ -20,10 +20,8 @@ from uttrank.rouge import gold_relevance
 from uttrank.scorer import (
     FEATURE_DIM,
     apply_gradient,
-    flat_params,
     init_model,
     instance_features,
-    num_params,
     save_model,
 )
 from uttrank.synthesis import synth_corpus, synth_splits
@@ -39,7 +37,7 @@ from uttrank.trainer import (
     train_reranker,
 )
 from tests import counter_oracles
-from tests.conftest import make_instance
+from tests.conftest import flat, make_instance
 
 
 @pytest.fixture(scope="module")
@@ -70,12 +68,12 @@ def test_zero_learning_rate_update_is_identity():
     # the config invariant keeps lr positive; the optimizer step itself is
     # linear in lr, so a zero step moves nothing
     model = init_model((FEATURE_DIM, 4, 1), seed=0)
-    before = flat_params(model).copy()
+    before = flat(model).copy()
     grad = type(
         "G", (), {"weights": [np.ones_like(w) for w in model.weights], "biases": [np.ones_like(b) for b in model.biases]}
     )()
     apply_gradient(model, grad, 0.0)
-    assert np.array_equal(flat_params(model), before)
+    assert np.array_equal(flat(model), before)
 
 
 # ------------------------------------------------------------ prepare_corpus
@@ -304,7 +302,7 @@ def test_train_ranker_bit_identical(planted):
     cfg = TrainConfig(objective="pairwise", epochs=3, seed=5)
     a = train_ranker(prepared, cfg)
     b = train_ranker(prepared, cfg)
-    assert np.array_equal(flat_params(a.model), flat_params(b.model))
+    assert np.array_equal(flat(a.model), flat(b.model))
     assert a.epoch_losses == b.epoch_losses
 
 
@@ -314,7 +312,7 @@ def test_train_baseline_bit_identical(planted):
         cfg = TrainConfig(objective=objective, epochs=2, seed=9)
         a = train_baseline(prepared, cfg)
         b = train_baseline(prepared, cfg)
-        assert np.array_equal(flat_params(a.model), flat_params(b.model))
+        assert np.array_equal(flat(a.model), flat(b.model))
 
 
 def test_train_reranker_bit_identical(planted):
@@ -324,7 +322,7 @@ def test_train_reranker_bit_identical(planted):
     cfg = TrainConfig(objective="listwise", epochs=2, seed=4)
     a = train_reranker(prepared, stage1, cfg, pipeline_config=pcfg)
     b = train_reranker(prepared, stage1, cfg, pipeline_config=pcfg)
-    assert np.array_equal(flat_params(a.model), flat_params(b.model))
+    assert np.array_equal(flat(a.model), flat(b.model))
 
 
 def test_checkpoint_digests(tmp_path):
@@ -362,18 +360,18 @@ def test_train_reranker_leaves_stage1_unchanged(planted):
     # Stage 1 is frozen: training the re-ranker reads it and never steps it.
     pcfg = PipelineConfig(sample_size=10, per_sample_top=3)
     stage1 = train_ranker(planted, TrainConfig(epochs=1, seed=1), pipeline_config=pcfg).model
-    before = flat_params(stage1).tobytes()
+    before = flat(stage1).tobytes()
     cfg = TrainConfig(objective="listwise", epochs=2, seed=4)
     reranker = train_reranker(planted, stage1, cfg, pipeline_config=pcfg).model
-    assert flat_params(stage1).tobytes() == before
-    assert flat_params(reranker).tobytes() != before
+    assert flat(stage1).tobytes() == before
+    assert flat(reranker).tobytes() != before
 
 
 def test_different_seed_changes_model(planted):
     prepared = planted
     a = train_ranker(prepared, TrainConfig(epochs=1, seed=0))
     b = train_ranker(prepared, TrainConfig(epochs=1, seed=1))
-    assert not np.array_equal(flat_params(a.model), flat_params(b.model))
+    assert not np.array_equal(flat(a.model), flat(b.model))
 
 
 # ------------------------------------------------------------ loss descent
@@ -481,11 +479,9 @@ def test_listwise_zero_gap_means_zero_loss():
 
     model = init_model((FEATURE_DIM, 1), seed=0)
     from uttrank.ranklosses import kl_listwise_loss
-    from uttrank.scorer import set_flat_params
 
-    params = np.zeros(FEATURE_DIM + 1)
-    params[0] = 1.0  # score = feature[0] + 0 = target + 0.3
-    set_flat_params(model, params)
+    model.weights = [np.eye(1, FEATURE_DIM)]  # score = feature[0] + 0 = target + 0.3
+    model.biases = [np.zeros(1)]
 
     value, _ = assembly.value_and_grad(model)
     assert abs(value) <= 1e-12
@@ -534,7 +530,7 @@ def test_one_utterance_instance_is_skipped_and_changes_nothing(tiny_corpus, capl
     without = train(tiny_corpus)
     with caplog.at_level(logging.WARNING, logger="uttrank.trainer"):
         result = train(with_solo)
-    assert np.array_equal(flat_params(result.model), flat_params(without.model))
+    assert np.array_equal(flat(result.model), flat(without.model))
     assert result.epoch_losses == without.epoch_losses
     assert [rec.getMessage() for rec in caplog.records] == [
         "skipping instance solo: its window or pool has 1 utterance(s)"
@@ -612,7 +608,7 @@ def test_grad_check_detects_corrupted_gradient():
 
 def test_grad_check_zero_parameter_model_vacuous_pass():
     model = init_model((1,), seed=0)
-    assert num_params(model) == 0
+    assert flat(model).size == 0
     rng = np.random.default_rng(17)
     assembly = make_objective_assembly(
         "mse", rng.uniform(size=(3, 1)), rng.uniform(size=3)
@@ -620,6 +616,16 @@ def test_grad_check_zero_parameter_model_vacuous_pass():
     report = grad_check(assembly, model)
     assert report.passed
     assert report.max_relative_error == 0.0
+
+
+@pytest.mark.parametrize("dims", [(FEATURE_DIM, 4, 3, 1), (FEATURE_DIM, 1)])
+def test_grad_check_gives_the_model_back_bit_identical(dims):
+    rng = np.random.default_rng(19)
+    assembly = _random_assembly(rng, "listwise")
+    model = init_model(dims, seed=2)
+    before = [p.tobytes() for p in (*model.weights, *model.biases)]
+    grad_check(assembly, model)
+    assert [p.tobytes() for p in (*model.weights, *model.biases)] == before
 
 
 def test_grad_check_rejects_bad_epsilon():
