@@ -37,7 +37,6 @@ __all__ = [
     "COMPARISON_OBJECTIVES",
     "REFERENCE_ROWS",
     "RankingMetrics",
-    "ndcg_at_k",
     "kendall_tau",
     "ranking_metrics",
     "topk_rouge_overlap",
@@ -54,11 +53,6 @@ class RankingMetrics:
 
     ndcg_at_k: float
     kendall_tau: float
-
-
-def ndcg_at_k(predicted_order, relevance, k: int) -> float:
-    """The NDCG@k of ranking_metrics: see there."""
-    return ranking_metrics(predicted_order, relevance, k).ndcg_at_k
 
 
 def kendall_tau(order_a, order_b) -> float:
@@ -161,12 +155,6 @@ class ComparisonReport:
     corpus_id: str
     ndcg_k: int
     config: dict
-
-    def row(self, objective: str) -> ComparisonRow:
-        for r in self.rows:
-            if r.objective == objective:
-                return r
-        raise KeyError(objective)
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)

@@ -96,10 +96,7 @@ def rank_descending(values, indices=None) -> list[int]:
     if indices is None:
         order = np.argsort(-v, kind="stable")
     else:
-        if isinstance(indices, range):  # np.asarray would walk it item by item
-            idx = np.arange(indices.start, indices.stop, indices.step)
-        else:
-            idx = np.asarray(indices, dtype=np.intp)
+        idx = np.asarray(indices, dtype=np.intp)
         order = idx[np.lexsort((idx, -v[idx]))]
     # Both sorts put NaN last, so the last item shows whether there is one.
     if len(order) and np.isnan(v[order[-1]]):

@@ -1,17 +1,18 @@
 """Differentiable query-relevance scoring.
 
-iter_prepared yields each instance with its feature matrix and, when asked,
-its gold labels, computed a chunk of about CHUNK_TOKENS utterance tokens at
-a time. It tokenizes each instance's texts once and numbers each instance's
-distinct tokens apart from every other instance's, then lays the chunk's
-instances back to back in one InstanceStats: every feature of the chunk's
-rows comes from one pass over the ROUGE kernel's counts against each row's
-query, and every label from one group_relevances call against each gold
-summary. InstanceStats.from_instance and instance_features are the
-one-instance case of the same pass, and featurize its one-row case. Each
-tf-idf sum goes through np.bincount, which adds a row's terms in input order
-starting from 0.0, and squares are the product w * w, so each value equals a
-per-row loop over Counters bit for bit, whatever the chunk.
+iter_prepared yields each instance as a PreparedInstance, with its feature
+matrix and, when asked, its gold labels, computed a chunk of about
+CHUNK_TOKENS utterance tokens at a time. It tokenizes each instance's texts
+once and numbers each instance's distinct tokens apart from every other
+instance's, then lays the chunk's instances back to back in one
+InstanceStats: every feature of the chunk's rows comes from one pass over
+the ROUGE kernel's counts against each row's query, and every label from one
+group_relevances call against each gold summary. InstanceStats.from_instance
+and instance_features are the one-instance case of the same pass, and
+featurize its one-row case. Each tf-idf sum goes through np.bincount, which
+adds a row's terms in input order starting from 0.0, and squares are the
+product w * w, so each value equals a per-row loop over Counters bit for bit,
+whatever the chunk.
 
 A small feed-forward model over hand-built (query, utterance) features stands
 in for a pretrained cross-encoder: the ranking losses are agnostic to the
@@ -19,8 +20,8 @@ scorer, so every trainable objective stays exercisable at desk scale. Hidden
 layers use tanh (smooth everywhere, so finite-difference gradient checks are
 clean); the output layer is linear and always one-dimensional.
 
-forward scores a whole (n, input_dim) feature matrix with one matrix product
-per layer and returns the per-layer activations; backward takes those
+forward scores a whole (n, layer_dims[0]) feature matrix with one matrix
+product per layer and returns the per-layer activations; backward takes those
 activations and the vector of upstream score gradients and returns one
 parameter gradient summed over the rows. Call backward with the model that
 ran the forward pass, before any update is applied to it.
@@ -78,6 +79,7 @@ __all__ = [
     "FEATURE_DIM",
     "CHUNK_TOKENS",
     "InstanceStats",
+    "PreparedInstance",
     "iter_prepared",
     "featurize",
     "instance_features",
@@ -232,18 +234,6 @@ class InstanceStats:
         vocab, part = _numbered(instance.query, instance.utterances, None)
         return _build_stats([part], False, vocab)
 
-    @property
-    def n_utterances(self) -> int:
-        """The utterance count of a one-instance stats."""
-        (n,) = self.utterance_counts.tolist()
-        return n
-
-    def idf(self, token: str) -> float:
-        """Smoothed idf in a one-instance stats; a token no utterance holds has document frequency 0."""
-        if token in self.vocab:
-            return float(self.idf_by_id[self.vocab[token]])
-        return _idf(self.n_utterances, 0)
-
     def per_instance(self, rows: np.ndarray) -> list[np.ndarray]:
         """Each instance's slice of an array with one entry per row, as its own array."""
         ends = np.cumsum(self.queried.group_rows)[:-1]
@@ -292,10 +282,18 @@ def _build_stats(
     )
 
 
+class PreparedInstance(NamedTuple):
+    """An instance with its feature matrix and its relevance labels, None unless gold labels were asked for."""
+
+    instance: QueryInstance
+    features: np.ndarray
+    relevance: np.ndarray | None
+
+
 def iter_prepared(
     instances: Iterable[QueryInstance], with_gold: bool = False
-) -> Iterator[tuple[QueryInstance, np.ndarray, np.ndarray | None]]:
-    """Each instance with its feature matrix and its relevance labels, None unless with_gold."""
+) -> Iterator[PreparedInstance]:
+    """Each instance as a PreparedInstance, its relevance labels None unless with_gold."""
     chunk, parts, n_tokens = [], [], 0
     for instance in instances:
         gold = instance.gold_summary if with_gold else None
@@ -313,7 +311,7 @@ def _prepared(instances: list[QueryInstance], stats: InstanceStats):
     """Each instance of stats with its feature matrix and its labels, None without stats.gold."""
     features = stats.per_instance(_features(stats))
     labels = repeat(None) if stats.gold is None else stats.per_instance(group_relevances(stats.gold))
-    return zip(instances, features, labels)
+    return map(PreparedInstance, instances, features, labels)
 
 
 def _features(stats: InstanceStats) -> np.ndarray:
@@ -358,12 +356,14 @@ def featurize(query: str, utterance: Utterance, stats: InstanceStats) -> np.ndar
     tf-idf cosine similarity, utterance token count / 100 capped at 1,
     relative transcript position, fraction of query content words present,
     and a speaker-mentioned-in-query indicator. Tokenizes only its own
-    arguments and reads stats' idf and utterance count; it is the one-row
+    arguments and reads stats' idf and utterance count, where a token no
+    utterance of stats holds has document frequency 0; it is the one-row
     case of the feature pass over every row of a chunk.
     """
     vocab, part = _numbered(query, (utterance,), None)
     one = _build_stats([part], False, vocab)
-    idf_by_id = np.array([stats.idf(t) for t in one.vocab], dtype=np.float64)
+    (n,) = stats.utterance_counts.tolist()
+    idf_by_id = np.array([stats.idf_by_id[stats.vocab[t]] if t in stats.vocab else _idf(n, 0) for t in vocab])
     return _features(replace(one, idf_by_id=idf_by_id, utterance_counts=stats.utterance_counts))[0]
 
 
@@ -380,10 +380,6 @@ class ScoringModel:
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     seed: int
-
-    @property
-    def input_dim(self) -> int:
-        return self.layer_dims[0]
 
 
 @dataclass
@@ -415,14 +411,14 @@ def init_model(layer_dims, seed: int) -> ScoringModel:
 
 
 def forward(model: ScoringModel, features: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Score every row of an (n, input_dim) matrix.
+    """Score every row of an (n, layer_dims[0]) matrix.
 
     Returns the n scores and the per-layer activations backward() consumes,
     starting with the input itself.
     """
     x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != model.input_dim:
-        raise ValidationError(f"input shape {x.shape} != (n, {model.input_dim})")
+    if x.ndim != 2 or x.shape[1] != model.layer_dims[0]:
+        raise ValidationError(f"input shape {x.shape} != (n, {model.layer_dims[0]})")
     activations = [x]
     n_layers = len(model.weights)
     for l, (w, b) in enumerate(zip(model.weights, model.biases)):

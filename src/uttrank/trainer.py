@@ -1,8 +1,7 @@
 """Training loops for the ranking objectives, plus the gradient checker.
 
-prepare_corpus collects each instance with the feature matrix and gold labels
-that scorer.iter_prepared hands back for it; every train_* function takes
-the prepared instances first.
+prepare_corpus lists the PreparedInstances that scorer.iter_prepared yields
+with gold labels; every train_* function takes them first.
 
 All four objectives train through one loop. train_ranker (pairwise) and
 train_baseline (bce, mse) make one unit per partition_samples window;
@@ -27,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, QueryInstance, partition_samples
+from .corpus import Corpus, partition_samples
 from .errors import ValidationError
 from .pipeline import PipelineConfig, rank_descending, stage1_pool
 from .ranklosses import (
@@ -40,6 +39,7 @@ from .ranklosses import (
 from .scorer import (
     FEATURE_DIM,
     ParameterGradient,
+    PreparedInstance,
     ScoringModel,
     apply_gradient,
     backward,
@@ -57,7 +57,6 @@ __all__ = [
     "OBJECTIVES",
     "TrainConfig",
     "TrainResult",
-    "PreparedInstance",
     "prepare_corpus",
     "locator_labels",
     "LossAssembly",
@@ -110,18 +109,9 @@ class TrainResult:
     epoch_losses: list[float] = field(default_factory=list)
 
 
-@dataclass(frozen=True)
-class PreparedInstance:
-    """Instance with its feature matrix and gold relevance labels precomputed."""
-
-    instance: QueryInstance
-    features: np.ndarray
-    relevance: np.ndarray
-
-
 def prepare_corpus(corpus: Corpus) -> list[PreparedInstance]:
     """Features and gold labels of every instance, a chunk of instances per pass."""
-    return [PreparedInstance(*prepared) for prepared in iter_prepared(corpus, with_gold=True)]
+    return list(iter_prepared(corpus, with_gold=True))
 
 
 def locator_labels(prep: PreparedInstance, n_positive: int, use_spans: bool) -> np.ndarray:

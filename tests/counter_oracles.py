@@ -4,6 +4,8 @@ The array code in uttrank.rouge and uttrank.scorer must equal these bit for
 bit: ngram_counts/_ngram_score is ROUGE-N over n-gram multisets, and
 feature_row builds one utterance's features by walking Counters in
 first-occurrence order with Python float arithmetic, adding left to right.
+Its idf comes from the instance's own utterance texts, not from the code
+under test.
 """
 
 import math
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 from uttrank.errors import ValidationError
 from uttrank.rouge import RougeScore, tokenize
-from uttrank.scorer import STOPWORDS, InstanceStats
+from uttrank.scorer import STOPWORDS
 
 
 def ngram_counts(tokens: list[str], n: int) -> Counter:
@@ -44,6 +46,13 @@ def _ngram_score(cand_counts: Counter, ref_counts: Counter) -> RougeScore:
 
 def rouge_n(candidate: str, reference: str, n: int) -> RougeScore:
     return _ngram_score(ngram_counts(tokenize(candidate), n), ngram_counts(tokenize(reference), n))
+
+
+def smoothed_idf(utterances):
+    """token -> log((1 + n) / (1 + df)) + 1, df the number of the n utterances whose text holds token."""
+    documents = [set(tokenize(u.text)) for u in utterances]
+    n = len(documents)
+    return lambda token: math.log((1 + n) / (1 + sum(token in d for d in documents))) + 1
 
 
 def sum_of_squares(weights) -> float:
@@ -84,11 +93,11 @@ def _feature_row(
     index: int,
     utt_tokens: list[str],
     speaker_tokens: list[str],
-    stats: InstanceStats,
+    idf,
+    n: int,
 ) -> list[float]:
-    """The features of one utterance, in FEATURE_NAMES order."""
+    """The features of one utterance of n, in FEATURE_NAMES order."""
     counts = Counter(utt_tokens)
-    idf = stats.idf
     # tf-idf cosine (Salton & Buckley 1988), walking the query in token order.
     dot = 0.0
     for token, q_count in query.counts.items():
@@ -101,7 +110,6 @@ def _feature_row(
         qn = math.sqrt(sum_of_squares(c * idf(t) for t, c in query.counts.items()))
         un = math.sqrt(sum_of_squares(c * idf(t) for t, c in counts.items()))
         cosine = dot / (qn * un)
-    n = stats.n_utterances
     content = query.content
     return [
         _ngram_score(counts, query.counts).f1,
@@ -114,10 +122,11 @@ def _feature_row(
     ]
 
 
-def feature_rows(query: str, utterances, stats: InstanceStats) -> list[list[float]]:
-    """One _feature_row per utterance, read against stats' idf and utterance count."""
+def feature_rows(query: str, utterances) -> list[list[float]]:
+    """One _feature_row per utterance, with the idf and utterance count of the utterances."""
     terms = _QueryTerms.from_text(query)
+    idf = smoothed_idf(utterances)
     return [
-        _feature_row(terms, u.index, tokenize(u.text), tokenize(u.speaker), stats)
+        _feature_row(terms, u.index, tokenize(u.text), tokenize(u.speaker), idf, len(utterances))
         for u in utterances
     ]

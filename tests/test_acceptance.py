@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from uttrank.cli import dispatch
-from uttrank.evaluation import ndcg_at_k, run_comparison, topk_rouge_overlap
+from uttrank.evaluation import ranking_metrics, run_comparison, topk_rouge_overlap
 from uttrank.pipeline import PipelineConfig, run_pipeline
 from uttrank.ranklosses import kl_listwise_loss, pairwise_margin_loss
 from uttrank.rouge import lcs_length, rouge_n, tokenize
@@ -212,7 +212,7 @@ def test_criterion_06_planted_order_recovery(capsys, planted_seed7):
     for prep in prep_test:
         scores = score_utterances(model, prep.features)
         order = np.argsort(-scores, kind="stable").tolist()
-        gains.append(ndcg_at_k(order, prep.relevance, 10))
+        gains.append(ranking_metrics(order, prep.relevance, 10).ndcg_at_k)
     mean_ndcg = float(np.mean(gains))
     elapsed = time.perf_counter() - start
     ok = mean_ndcg >= 0.90 and elapsed < 120.0
@@ -238,7 +238,7 @@ def test_criterion_07_reranking_ablation_direction(capsys, planted_seed7):
         full = run_pipeline(inst, scores, score_utterances(reranker, prep.features), pcfg)
         bare = run_pipeline(inst, scores, scores, pcfg)
         for key, ext in (("on", full), ("off", bare)):
-            ndcg[key].append(ndcg_at_k(list(ext.selected_indices), prep.relevance, 10))
+            ndcg[key].append(ranking_metrics(list(ext.selected_indices), prep.relevance, 10).ndcg_at_k)
             overlap[key].append(topk_rouge_overlap([ext], inst.gold_summary)[0][10][0].f1)
 
     d_ndcg = float(np.mean(ndcg["on"])) - float(np.mean(ndcg["off"]))
@@ -270,8 +270,9 @@ def test_criterion_08_objective_comparison_direction(capsys, tmp_path):
         (tmp_path / f"comparison_seed{seed}.json").write_text(
             report.to_json() + "\n", encoding="utf-8"
         )
+        rows = {r.objective: r for r in report.rows}
         for objective in taus:
-            taus[objective].append(report.row(objective).mean_tau)
+            taus[objective].append(rows[objective].mean_tau)
     means = {k: float(np.mean(v)) for k, v in taus.items()}
     ok = means["pairwise"] >= means["mse"] and means["pairwise"] >= means["bce"]
     _verdict(

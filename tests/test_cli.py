@@ -18,6 +18,7 @@ import time
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import uttrank
@@ -31,11 +32,12 @@ from uttrank.cli import (
     build_parser,
     dispatch,
 )
-from uttrank.corpus import QueryInstance, Utterance, load_corpus, save_corpus
+from uttrank.corpus import QueryInstance, Utterance, load_corpus, partition_samples, save_corpus
 from uttrank.errors import ValidationError
 from uttrank.evaluation import corpus_digest, run_comparison
 from uttrank.pipeline import PipelineConfig
-from uttrank.scorer import load_model
+from uttrank.rouge import rouge_scores
+from uttrank.scorer import instance_features, load_model, score_utterances
 from uttrank.synthesis import synth_corpus
 from uttrank.trainer import TrainConfig, grad_check
 
@@ -363,6 +365,91 @@ def test_reranker_training_flow(trained):
     )
     assert code == 0
     assert (out / "model.json").exists()
+
+
+_POOL_FLAGS = ["--sample-size", "10", "--per-sample-top", "3"]
+
+
+def _train_both_stages(tmp_path, corpus) -> tuple[Path, Path]:
+    """The pairwise and the listwise checkpoint that `train` writes with _POOL_FLAGS."""
+    train = ["train", "--corpus", str(corpus / "train.jsonl"), "--epochs", "2", *_POOL_FLAGS]
+    assert dispatch([*train, "--out-dir", str(tmp_path / "pairwise")]) == 0
+    stage1 = tmp_path / "pairwise" / "model.json"
+    argv = [*train, "--objective", "listwise", "--stage1-model", str(stage1)]
+    assert dispatch([*argv, "--out-dir", str(tmp_path / "listwise")]) == 0
+    return stage1, tmp_path / "listwise" / "model.json"
+
+
+def _extract_records(tmp_path, corpus, name: str, *flags: str) -> list[dict]:
+    out = tmp_path / name
+    argv = ["extract", "--corpus", str(corpus / "test.jsonl"), *flags, *_POOL_FLAGS]
+    assert dispatch([*argv, "--out-dir", str(out)]) == 0
+    return [json.loads(line) for line in (out / "extractions.jsonl").read_text().splitlines()]
+
+
+def _topk_f1s(record: dict, instance: QueryInstance) -> list[float]:
+    """Top-5 then top-10 R-1, R-2 and R-L F1 of one extractions.jsonl record against the gold summary."""
+    selected, scores = record["selected_indices"], record["selection_scores"]
+    by_score = sorted(range(len(selected)), key=lambda j: (-scores[j], selected[j]))
+    texts = [
+        "\n".join(instance.utterances[i].text for i in sorted(selected[j] for j in by_score[:k]))
+        for k in (5, 10)
+    ]
+    five, ten = rouge_scores(texts, instance.gold_summary)
+    return [score.f1 for score in (*five, *ten)]
+
+
+def test_report_pipeline_rows_measure_what_extract_writes(tmp_path):
+    # The report's pairwise rows are the top-k ROUGE of the extractions that
+    # `extract` writes from the same checkpoints, with and without the re-ranker.
+    corpus = _synth(tmp_path, "corpus", instances=12, validation_instances=0, test_instances=6,
+                    utterances=30, seed=23)
+    stage1, reranker = _train_both_stages(tmp_path, corpus)
+    test = load_corpus(corpus / "test.jsonl", split="test")
+    models = {"pairwise": load_model(stage1), "pairwise+listwise": load_model(reranker)}
+    report = run_comparison(test, models, PipelineConfig(sample_size=10, per_sample_top=3))
+    rows = {row.objective: row for row in report.rows}
+    for objective, flags in (
+        ("pairwise", ["--model", str(stage1)]),
+        ("pairwise+listwise", ["--model", str(stage1), "--reranker", str(reranker)]),
+    ):
+        records = _extract_records(tmp_path, corpus, f"extract-{objective}", *flags)
+        assert [r["instance_id"] for r in records] == [inst.instance_id for inst in test]
+        means = np.mean([_topk_f1s(r, inst) for r, inst in zip(records, test)], axis=0)
+        row = rows[objective]
+        want = [row.top5_rouge1, row.top5_rouge2, row.top5_rougeL,
+                row.top10_rouge1, row.top10_rouge2, row.top10_rougeL]
+        assert means.tolist() == pytest.approx(want, rel=0, abs=1e-12)
+
+
+def test_extract_stops_at_a_binding_token_budget(tmp_path):
+    # Long utterances against a budget of 256 tokens: selection stops at the
+    # first pooled line that would pass the budget, before top_k.
+    corpus = _synth(tmp_path, "corpus", instances=12, validation_instances=0, test_instances=6,
+                    utterances=40, seed=29, min_tokens=30, max_tokens=40, summary_words=80)
+    stage1, reranker = _train_both_stages(tmp_path, corpus)
+    records = _extract_records(tmp_path, corpus, "extract", "--model", str(stage1),
+                               "--reranker", str(reranker), "--token-budget", "256")
+    models = load_model(stage1), load_model(reranker)
+    top_k = EXTRACT_DEFAULTS["top_k"]
+    stopped_by_budget = 0
+    for record, instance in zip(records, load_corpus(corpus / "test.jsonl", split="test"), strict=True):
+        assert len(record["generator_input"].split()) <= 256
+        first, second = (score_utterances(m, instance_features(instance)) for m in models)
+        pool = {}
+        for window in partition_samples(instance, 10):
+            pool.update(dict.fromkeys(sorted(window, key=lambda i: (-first[i], i))[:3]))
+        selected, used = [], len(instance.query.split())
+        for i in sorted(pool, key=lambda i: (-second[i], i)):
+            utterance = instance.utterances[i]
+            line_tokens = len(f"{utterance.speaker}: {utterance.text}".split())
+            if len(selected) == top_k or used + line_tokens > 256:
+                break
+            selected.append(i)
+            used += line_tokens
+        assert record["selected_indices"] == sorted(selected)
+        stopped_by_budget += len(selected) < top_k and len(pool) > len(selected)
+    assert stopped_by_budget > 0
 
 
 def test_config_file_with_flag_override(trained):

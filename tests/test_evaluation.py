@@ -14,7 +14,6 @@ from uttrank.evaluation import (
     ComparisonRow,
     corpus_digest,
     kendall_tau,
-    ndcg_at_k,
     ranking_metrics,
     run_comparison,
     topk_rouge_overlap,
@@ -32,45 +31,45 @@ from uttrank.trainer import (
 from tests.conftest import make_instance
 
 
-# ---------------------------------------------------------------- ndcg_at_k
+# ----------------------------------------------------------------- NDCG@k
 
 def test_ndcg_perfect_order_is_one():
-    assert ndcg_at_k([2, 0, 1], [0.5, 0.1, 0.9], k=3) == 1.0
+    assert ranking_metrics([2, 0, 1], [0.5, 0.1, 0.9], k=3).ndcg_at_k == 1.0
 
 
 def test_ndcg_equal_relevance_is_one_for_any_order():
     for order in ([0, 1, 2], [2, 1, 0], [1, 2, 0]):
-        assert ndcg_at_k(order, [0.4, 0.4, 0.4], k=3) == 1.0
+        assert ranking_metrics(order, [0.4, 0.4, 0.4], k=3).ndcg_at_k == 1.0
 
 
 def test_ndcg_reversed_hand_value():
     # relevances [3,2,1], predicted worst-first
     dcg = 1.0 / math.log2(2) + 2.0 / math.log2(3) + 3.0 / math.log2(4)
     idcg = 3.0 / math.log2(2) + 2.0 / math.log2(3) + 1.0 / math.log2(4)
-    got = ndcg_at_k([2, 1, 0], [3.0, 2.0, 1.0], k=3)
+    got = ranking_metrics([2, 1, 0], [3.0, 2.0, 1.0], k=3).ndcg_at_k
     assert got == pytest.approx(dcg / idcg, abs=1e-12)
 
 
 def test_ndcg_zero_ideal_defined_as_one():
-    assert ndcg_at_k([1, 0], [0.0, 0.0], k=2) == 1.0
+    assert ranking_metrics([1, 0], [0.0, 0.0], k=2).ndcg_at_k == 1.0
 
 
 def test_ndcg_normalizes_within_the_ranked_subset():
     # item 2 (the global best) is absent from the ranking; the ideal is taken
     # over the items actually ranked, so a perfect subset order scores 1
-    assert ndcg_at_k([1, 0], [0.1, 0.9, 5.0], k=2) == 1.0
+    assert ranking_metrics([1, 0], [0.1, 0.9, 5.0], k=2).ndcg_at_k == 1.0
 
 
 def test_ndcg_rejects_bad_k():
     with pytest.raises(ValidationError):
-        ndcg_at_k([0, 1], [1.0, 0.0], k=0)
+        ranking_metrics([0, 1], [1.0, 0.0], k=0)
 
 
 @pytest.mark.parametrize("order", [[0, 0, 0], [2, 2]])
 def test_ndcg_rejects_a_repeated_item(order):
     # Each order once scored 1.0: the repeat was counted as if it were distinct.
     with pytest.raises(ValidationError, match="repeat"):
-        ndcg_at_k(order, [1.0, 0.0, 0.5], len(order))
+        ranking_metrics(order, [1.0, 0.0, 0.5], len(order))
 
 
 def test_ndcg_bounded_random():
@@ -79,7 +78,7 @@ def test_ndcg_bounded_random():
         n = int(rng.integers(2, 12))
         rel = rng.uniform(size=n)
         order = rng.permutation(n).tolist()
-        v = ndcg_at_k(order, rel, k=int(rng.integers(1, n + 1)))
+        v = ranking_metrics(order, rel, k=int(rng.integers(1, n + 1))).ndcg_at_k
         assert 0.0 <= v <= 1.0 + 1e-12
 
 
@@ -133,6 +132,15 @@ def test_tau_on_sparse_elements_matches_pair_enumeration():
         assert kendall_tau([f"u{x}" for x in a], [f"u{x}" for x in b]) == kendall_tau(a, b)
 
 
+def _ndcg_brute(order, relevance, k):
+    """DCG over the first k of order, against the same items sorted by relevance."""
+    depth = min(k, len(order))
+    dcg = sum(relevance[i] / math.log2(rank + 2) for rank, i in enumerate(order[:depth]))
+    ideal = sorted((relevance[i] for i in order), reverse=True)[:depth]
+    idcg = sum(gain / math.log2(rank + 2) for rank, gain in enumerate(ideal))
+    return dcg / idcg if idcg != 0.0 else 1.0
+
+
 def test_ranking_metrics_equal_the_separate_metrics():
     rng = np.random.default_rng(34)
     for _ in range(30):
@@ -141,7 +149,7 @@ def test_ranking_metrics_equal_the_separate_metrics():
         order = rng.permutation(n).tolist()[: int(rng.integers(1, n + 1))]
         k = int(rng.integers(1, 12))
         m = ranking_metrics(order, rel, k)
-        assert m.ndcg_at_k == ndcg_at_k(order, rel, k)
+        assert m.ndcg_at_k == pytest.approx(_ndcg_brute(order, rel, k), abs=1e-12)
         assert m.kendall_tau == kendall_tau(order, rank_descending(rel, order))
 
 
@@ -312,8 +320,9 @@ def test_comparison_rows_follow_the_given_models(small_report):
     given = {name: models[name] for name in ("mse", "pairwise")}
     subset = run_comparison(corpora["test"], given, pcfg)
     assert [r.objective for r in subset.rows] == ["pairwise", "mse", "lead", "gold"]
+    rows = {r.objective: r for r in report.rows}
     for row in subset.rows:
-        assert row == report.row(row.objective)
+        assert row == rows[row.objective]
     only_references = run_comparison(corpora["test"], {}, pcfg)
     assert [r.objective for r in only_references.rows] == ["lead", "gold"]
 
@@ -322,14 +331,12 @@ def test_comparison_row_structure(small_report):
     _, _, _, report = small_report
     names = [r.objective for r in report.rows]
     assert names == ["pairwise+listwise", "pairwise", "bce", "mse", "lead", "gold"]
-    assert report.row("gold").mean_ndcg == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(KeyError):
-        report.row("nope")
+    assert {r.objective: r for r in report.rows}["gold"].mean_ndcg == pytest.approx(1.0, abs=1e-12)
 
 
 def test_gold_row_weakly_dominates_ndcg(small_report):
     _, _, _, report = small_report
-    gold = report.row("gold")
+    gold = {r.objective: r for r in report.rows}["gold"]
     for row in report.rows:
         for g, other in zip(gold.ndcg_per_instance, row.ndcg_per_instance):
             assert g >= other - 1e-12
@@ -340,6 +347,7 @@ def test_comparison_reference_rows_match_a_per_row_pass(small_report):
     # one overlap call per instance, sums added in instance order.
     corpora, _, pcfg, report = small_report
     prepared = prepare_corpus(corpora["test"])
+    rows = {r.objective: r for r in report.rows}
     for objective in ("lead", "gold"):
         r5, r10, ndcgs, taus = np.zeros(3), np.zeros(3), [], []
         for prep in prepared:
@@ -355,7 +363,7 @@ def test_comparison_reference_rows_match_a_per_row_pass(small_report):
             taus.append(metrics.kendall_tau)
         r5 /= len(prepared)
         r10 /= len(prepared)
-        row = report.row(objective)
+        row = rows[objective]
         assert [row.top5_rouge1, row.top5_rouge2, row.top5_rougeL] == r5.tolist()
         assert [row.top10_rouge1, row.top10_rouge2, row.top10_rougeL] == r10.tolist()
         assert (row.ndcg_per_instance, row.tau_per_instance) == (tuple(ndcgs), tuple(taus))

@@ -86,6 +86,12 @@ def test_rank_descending_on_a_subset_filters_the_full_order(values, data):
     assert rank_descending(values, sorted(subset)) == want
 
 
+@pytest.mark.parametrize("window", [range(0), range(1, 4), range(8, 2, -2)])
+def test_rank_descending_ranks_a_range_as_its_list(window):
+    values = [0.5, 0.9, 0.5, 0.1, 0.9, 0.5, 0.0, 0.9, 0.5, 0.1]
+    assert rank_descending(values, window) == rank_descending(values, list(window))
+
+
 def rank_descending_oracle(values, indices=None):
     """The per-element sort rank_descending replaced: score descending, ties by position."""
     if indices is None:

@@ -91,23 +91,26 @@ def test_features_finite_and_bounded(tiny_corpus):
         assert set(np.unique(feats[:, 6])) <= {0.0, 1.0}
 
 
-def _tfidf_cosine(query_tokens: list[str], utt_tokens: list[str], stats: InstanceStats) -> float:
+def _tfidf_cosine(query_tokens: list[str], utt_tokens: list[str], idf) -> float:
     qc = Counter(query_tokens)
     uc = Counter(utt_tokens)
     dot = 0.0
     for token, q_count in qc.items():
         if token in uc:
-            w = stats.idf(token)
+            w = idf(token)
             dot += (q_count * w) * (uc[token] * w)
     if dot == 0.0:
         return 0.0
-    qn = math.sqrt(counter_oracles.sum_of_squares(c * stats.idf(t) for t, c in qc.items()))
-    un = math.sqrt(counter_oracles.sum_of_squares(c * stats.idf(t) for t, c in uc.items()))
+    qn = math.sqrt(counter_oracles.sum_of_squares(c * idf(t) for t, c in qc.items()))
+    un = math.sqrt(counter_oracles.sum_of_squares(c * idf(t) for t, c in uc.items()))
     return dot / (qn * un)
 
 
-def _featurize_from_strings(query, utterance, stats):
-    """The feature formula as first written, with ROUGE-N taken on the raw strings."""
+def _featurize_from_strings(query, utterance, utterances):
+    """The feature formula as first written, with ROUGE-N taken on the raw strings.
+
+    idf and the position feature read the instance's utterances.
+    """
     query_tokens = tokenize(query)
     utt_tokens = tokenize(utterance.text)
     utt_token_set = set(utt_tokens)
@@ -119,7 +122,7 @@ def _featurize_from_strings(query, utterance, stats):
         sum(1 for t in content if t in utt_token_set) / len(content) if content else 0.0
     )
 
-    n = stats.n_utterances
+    n = len(utterances)
     position = utterance.index / (n - 1) if n > 1 else 0.0
 
     speaker_tokens = tokenize(utterance.speaker)
@@ -130,7 +133,7 @@ def _featurize_from_strings(query, utterance, stats):
         [
             rouge_n(utterance.text, query, 1).f1,
             rouge_n(utterance.text, query, 2).f1,
-            _tfidf_cosine(query_tokens, utt_tokens, stats),
+            _tfidf_cosine(query_tokens, utt_tokens, counter_oracles.smoothed_idf(utterances)),
             min(len(utt_tokens) / 100.0, 1.0),
             position,
             coverage,
@@ -153,14 +156,18 @@ def test_featurize_equals_string_formula(query, texts, speakers):
     instance = make_instance(query=query, texts=texts, speakers=speakers)
     stats = _stats(instance)
     n = len(instance.utterances)
-    for token in {t for text in texts + [query, "xylophone"] for t in tokenize(text)}:
+    for token in {t for text in texts + [query] for t in tokenize(text)}:
         df = sum(token in tokenize(u.text) for u in instance.utterances)
-        assert stats.idf(token) == math.log((1 + n) / (1 + df)) + 1.0
+        assert stats.idf_by_id[stats.vocab[token]] == math.log((1 + n) / (1 + df)) + 1.0
     rows = instance_features(instance).tolist()
     for utterance, row in zip(instance.utterances, rows):
-        want = _featurize_from_strings(instance.query, utterance, stats).tolist()
+        want = _featurize_from_strings(instance.query, utterance, instance.utterances).tolist()
         assert featurize(instance.query, utterance, stats).tolist() == want
         assert row == want
+    # A token no utterance of the instance holds has document frequency 0.
+    stranger = Utterance(meeting_id="meet-0", index=0, speaker="zed", text=f"xylophone {query}")
+    want = _featurize_from_strings(instance.query, stranger, instance.utterances).tolist()
+    assert featurize(instance.query, stranger, stats).tolist() == want
 
 
 _STOP_QUERIES = ["the", "what did the", "?!", ""]
@@ -180,7 +187,7 @@ _oracle_texts = st.one_of(
 def test_features_equal_counter_oracle(query, texts, speakers):
     instance = make_instance(query=query, texts=texts, speakers=speakers)
     stats = _stats(instance)
-    want = counter_oracles.feature_rows(instance.query, instance.utterances, stats)
+    want = counter_oracles.feature_rows(instance.query, instance.utterances)
     assert instance_features(instance).tolist() == want
     for utterance, row in zip(instance.utterances, want):
         assert featurize(instance.query, utterance, stats).tolist() == row

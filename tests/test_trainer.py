@@ -242,8 +242,7 @@ def test_chunking_leaves_every_bit(meetings):
         assert one.instance is inst and all_.instance is inst
         assert np.array_equal(one.features, all_.features)
         assert np.array_equal(one.relevance, all_.relevance)
-        stats = scorer.InstanceStats.from_instance(inst)
-        oracle = counter_oracles.feature_rows(inst.query, inst.utterances, stats)
+        oracle = counter_oracles.feature_rows(inst.query, inst.utterances)
         assert np.array_equal(all_.features, np.array(oracle))
         labels = [gold_relevance(u.text, inst.gold_summary) for u in inst.utterances]
         assert np.array_equal(all_.relevance, np.array(labels))
@@ -540,7 +539,7 @@ def test_one_utterance_instance_is_skipped_and_changes_nothing(tiny_corpus, capl
 def test_reranker_beats_stage1_scores_on_pools(planted):
     # held-out pool ordering: the re-ranker's refined sort should not lose to
     # raw stage-1 scores on the same candidate pools
-    from uttrank.evaluation import ndcg_at_k
+    from uttrank.evaluation import ranking_metrics
     from uttrank.pipeline import stage1_pool, stage2_rerank
     from uttrank.scorer import score_utterances
     from uttrank.synthesis import synth_splits
@@ -561,8 +560,8 @@ def test_reranker_beats_stage1_scores_on_pools(planted):
         s2 = score_utterances(reranker, prep.features)
         order_rerank = stage2_rerank(pool, s2)
         order_stage1 = stage2_rerank(pool, s1)
-        gains_rerank.append(ndcg_at_k(list(order_rerank), prep.relevance, 10))
-        gains_stage1.append(ndcg_at_k(list(order_stage1), prep.relevance, 10))
+        gains_rerank.append(ranking_metrics(list(order_rerank), prep.relevance, 10).ndcg_at_k)
+        gains_stage1.append(ranking_metrics(list(order_stage1), prep.relevance, 10).ndcg_at_k)
     assert np.mean(gains_rerank) >= np.mean(gains_stage1)
 
 
